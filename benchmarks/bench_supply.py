@@ -10,7 +10,7 @@ flake on sub-second noise), and must stay result-identical.
 
 The battery closed-loop bench carries a second hard gate: with the
 span-kernel dispatch windows and the SoA step kernel
-(``engine="soa"``), a battery-backed closed-loop site-year must stay
+(``engine="event"``), a battery-backed closed-loop site-year must stay
 within 4x of the legacy open-loop event run of the same site —
 closed-loop dispatch is stateful at every step, but the per-step cost
 is a handful of float operations in a tight loop, not an object-graph
@@ -174,12 +174,12 @@ def test_supply_empty_stack_overhead():
 
 
 def test_supply_battery_closed_loop_year():
-    """One battery-backed site-year, closed loop, all three engines.
+    """One battery-backed site-year, closed loop, both engines.
 
-    The second CI gate: the fastest closed-loop path
-    (``engine="soa"`` — span-kernel dispatch windows over the SoA step
-    kernel) must stay within 4x of the legacy open-loop event run of
-    the same site (+0.5s noise floor).  Dispatch is stateful at every
+    The second CI gate: the closed-loop event path (span-kernel
+    dispatch windows over the SoA step kernel) must stay within 4x of
+    the legacy open-loop event run of the same site (+0.5s noise
+    floor).  Dispatch is stateful at every
     step, so some multiple is inherent; an order of magnitude would
     mean the per-step work regressed to object-graph walking.  The
     engines stay result-identical.
@@ -194,11 +194,6 @@ def test_supply_battery_closed_loop_year():
     _, legacy_s = _time_once(
         lambda: Datacenter(config, trace).run(requests, engine="event")
     )
-    soa, soa_s = _time_once(
-        lambda: Datacenter(config, trace, supply=stack).run(
-            requests, engine="soa"
-        )
-    )
     event, event_s = _time_once(
         lambda: Datacenter(config, trace, supply=stack).run(
             requests, engine="event"
@@ -210,27 +205,22 @@ def test_supply_battery_closed_loop_year():
         )
     )
     assert event.records == dense.records
-    assert soa.records == dense.records
     np.testing.assert_array_equal(
         event.supply.soc_mwh, dense.supply.soc_mwh
-    )
-    np.testing.assert_array_equal(
-        soa.supply.soc_mwh, dense.supply.soc_mwh
     )
     _record(
         "supply_battery_closed_loop_year",
         n_steps=grid.n,
         legacy_event_s=legacy_s,
-        closed_soa_s=soa_s,
         closed_event_s=event_s,
         closed_dense_s=dense_s,
-        closed_soa_vs_legacy=soa_s / legacy_s,
+        closed_event_vs_legacy=event_s / legacy_s,
         charge_mwh=event.supply.charge_total_mwh,
         discharge_mwh=event.supply.discharge_total_mwh,
     )
-    # Hard gate: a closed-loop battery year on the fastest path stays
+    # Hard gate: a closed-loop battery year on the event path stays
     # within 4x of the legacy open-loop event run.
-    assert soa_s <= legacy_s * 4.0 + 0.5
+    assert event_s <= legacy_s * 4.0 + 0.5
 
 
 def test_supply_priced_grid_closed_loop_year():
@@ -266,7 +256,7 @@ def test_supply_priced_grid_closed_loop_year():
             trace,
             supply=stack(grid_component),
             supply_mode="closed",
-        ).run(requests, engine="soa")
+        ).run(requests, engine="event")
 
     flat, flat_s = _time_once(
         lambda: run(GridFirmPower(budget_mwh=2000.0, max_power_mw=50.0))

@@ -1,19 +1,20 @@
-"""Structure-of-arrays step kernel: the per-step hot path, columnar.
+"""Structure-of-arrays step kernel: the production event engine.
 
-:class:`StepKernel` re-implements the five phases of
+:class:`StepKernel` runs the five phases of
 :meth:`repro.cluster.datacenter.Datacenter._step` — completions,
 power-down, resume, arrivals, launches — over flat per-VM and
 per-server state arrays instead of ``VM`` / ``Server`` object graphs.
 A VM is an index into parallel lists (cores, memory, lifetime, state
 code, hosting server, scheduled finish); a server is an index into
 free-core / free-memory arrays plus an insertion-ordered placement map.
-The object model stays untouched as the golden reference engine
-(``engine="event"`` / ``"dense"``), exactly the pattern those two
-engines already form with each other; the kernel is a third engine
-(``engine="soa"``) pinned result-identical — columns, event logs, and
-summaries — by the golden tests.
+Every event-driven path runs on it: ``Datacenter.run(engine="event")``,
+the closed-loop :meth:`~repro.cluster.datacenter.Datacenter.\
+advance_closed_event`, the cross-site fleet engine, and resumable
+sessions.  The object model's ``engine="dense"`` walk stays the
+reference oracle; the kernel is pinned result-identical to it —
+columns, event logs, and summaries — by the golden tests.
 
-Why it is faster than the object engines:
+Why it is faster than the object model:
 
 * **No attribute traffic.**  Every phase reads ``cores[i]`` out of a
   list instead of chasing ``vm.cores`` through a dataclass, and server
@@ -28,12 +29,13 @@ Why it is faster than the object engines:
   lap over all servers, and the persisted rotor lands on
   ``last_victim + 1`` in every terminating case — see
   :meth:`StepKernel._plan_power_down`).
-* **One engine surface.**  The kernel exposes the same wake-by-wake
-  protocol the fleet engine drives (``next_event`` / ``wake_bounds`` /
+* **One engine surface.**  The kernel exposes the wake-by-wake
+  protocol the single-site loops and the fleet engine drive
+  (``next_event`` / ``wake_bounds`` / ``step_wake`` / ``advance`` /
   ``drain_block``), so cross-site runs batch its sites without
   touching object state at all.
 
-Determinism notes mirrored from the object engines: free-core buckets
+Determinism notes mirrored from the object model: free-core buckets
 are id-sorted lists, victim ties resolve through the VM id exactly as
 the planner's sort keys do, completion deduplication keys on the VM id
 (duplicate ids in a request stream dedup identically), and pause events
@@ -82,16 +84,16 @@ _SMALLEST_MEMORY = 2
 class StepKernel:
     """SoA step engine for one site (see module docstring).
 
-    Built by :meth:`Datacenter.prepare_run` with ``kernel=True``; the
-    datacenter still owns the power model, the supply dispatcher, and
-    the result assembly — the kernel owns everything the five phases
-    touch per step.
+    Built by :meth:`Datacenter.prepare_run` for every run except the
+    dense oracle's; the datacenter still owns the power model, the
+    supply dispatcher, and the result assembly — the kernel owns
+    everything the five phases touch per step.
 
     Args:
         dc: The site whose configuration (and event log) this kernel
             executes under.
         requests: VM arrivals to replay (arrivals at or past the grid
-            end are dropped, as the object engine's ``prepare_run``
+            end are dropped, as the dense oracle's ``prepare_run``
             does).
         cols: The run's preallocated column store (possibly fleet row
             views).
@@ -299,7 +301,8 @@ class StepKernel:
         vm_finish = self.vm_finish
         vm_ids = self.vm_ids
         # Same-step pause->resume can re-add a VM under its original
-        # finish step: dedup on the VM id, as the object engine does.
+        # finish step: dedup on the VM id (the object model dedups
+        # implicitly because completing mutates the VM's state).
         valid: list[int] = []
         seen: set[int] = set()
         for index in finished:
@@ -699,8 +702,20 @@ class StepKernel:
     # ------------------------------------------------------------------
 
     def _launch_wake_threshold(self) -> int | None:
-        """Smallest budget at which a queued VM could launch (see
-        :meth:`Datacenter._launch_wake_threshold`)."""
+        """Smallest core budget at which a queued VM could launch.
+
+        Derived from the last processed step: ``m`` is the smallest
+        core count among queued VMs that were blocked by power headroom
+        (packing-blocked VMs cannot be helped by budget growth, and the
+        pool only mutates at processed steps).  The budget must cover
+        both the power term (``running + m``) and, under power-relative
+        admission, the utilization cap ``int(util * budget) >=
+        allocated + m`` — inverted in closed form by
+        :func:`min_budget_for_cap`.  ``None`` when even a fully
+        powered cluster cannot admit under the cap: only allocation
+        shrinking (a completion or eviction — an event in itself) can
+        unblock the queue then.
+        """
         m = self.launch_blocked_min
         if m is None:
             return None
@@ -813,69 +828,56 @@ class StepKernel:
     # Single-site open-loop event engine
     # ------------------------------------------------------------------
 
-    def run_event(self, budgets) -> int:
+    def advance(self, budgets, until: int) -> int:
         """Open-loop event loop over a precomputed budget series.
 
-        Mirrors :meth:`Datacenter._run_event` — same wake sources, same
-        forward-fills — over the SoA state.  Returns the number of
-        wake steps processed.
+        Processes every wake in ``[last + 1, until)``: VM arrivals, the
+        finish and queue-expiry min-heaps, and the first step of each
+        skipped window where the budget series crosses a wake threshold
+        (below running cores, or at/above the resume or launch
+        thresholds).  Waking at a stale step is a harmless no-op and
+        skipping never drops work, so skipped records are exact
+        forward-fills of the carried state.
+
+        Windows are clamped at ``until`` and :attr:`last` moves to
+        ``until - 1`` on return: every live event below the boundary
+        has been processed, so heap entries there are provably stale,
+        and a crossing scan split at the boundary finds the same first
+        hit.  Consecutive calls therefore reproduce one call with
+        ``until = n`` step for step — the invariant resumable sessions
+        rely on.  Returns the number of wake steps processed.
         """
-        n = self.n
         cols = self.cols
         processed = 0
-        arrival_steps = self.arrival_steps
-        n_arrival_steps = len(arrival_steps)
-        finish_heap = self.finish_heap
-        expiry_heap = self.expiry_heap
-        queue = self.queue
-        paused = self.paused
-        vm_cores = self.vm_cores
-        last = -1
         while True:
-            nxt = n
-            if self.arrival_index < n_arrival_steps:
-                nxt = arrival_steps[self.arrival_index]
-            while finish_heap and finish_heap[0] <= last:
-                heappop(finish_heap)
-            if finish_heap and finish_heap[0] < nxt:
-                nxt = finish_heap[0]
-            while expiry_heap and expiry_heap[0] <= last:
-                heappop(expiry_heap)
-            if expiry_heap and expiry_heap[0] < nxt:
-                nxt = expiry_heap[0]
-            window_start = last + 1
+            nxt = self.next_event()
+            if nxt > until:
+                nxt = until
+            window_start = self.last + 1
             if window_start < nxt:
-                running = self.running_cores
+                running, upper = self.wake_bounds()
                 window = budgets[window_start:nxt]
                 wake = window < running if running > 0 else None
-                threshold = None
-                if paused:
-                    threshold = running + vm_cores[paused[0]]
-                if queue:
-                    launch_threshold = self._launch_wake_threshold()
-                    if launch_threshold is not None and (
-                        threshold is None or launch_threshold < threshold
-                    ):
-                        threshold = launch_threshold
-                if threshold is not None:
-                    above = window >= threshold
+                if upper is not None:
+                    above = window >= upper
                     wake = above if wake is None else (wake | above)
                 if wake is not None:
                     hit = int(np.argmax(wake))
                     if wake[hit]:
                         nxt = window_start + hit
                 if window_start < nxt:
+                    # Provably no-op span: forward-fill carried state
+                    # (counts and bytes are already zero).
                     cols.running_cores[window_start:nxt] = running
                     cols.allocated_cores[window_start:nxt] = (
                         self.allocated_cores
                     )
-                    cols.queue_length[window_start:nxt] = len(queue)
-            if nxt >= n:
-                self.last = last
+                    cols.queue_length[window_start:nxt] = len(self.queue)
+            if nxt >= until:
+                self.last = until - 1
                 return processed
             self.step_wake(nxt, int(budgets[nxt]))
             processed += 1
-            last = nxt
 
     # ------------------------------------------------------------------
     # Fleet drain (the cross-site engine's inner loop)

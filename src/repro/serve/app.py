@@ -29,7 +29,8 @@ DELETE    /sessions/{id}                     forget the session
 
     {"scenario": {...Scenario.to_dict()...},   # optional sections may
                                                # be omitted (defaults)
-     "engine": "event" | "soa",
+     "engine": "event",                        # optional; the only
+                                               # session engine
      "session_id": "optional-id",
      "seed": 0,
      "record_events": true}
@@ -190,9 +191,13 @@ def create_app(registry: SessionRegistry | None = None):
                 "POST /sessions needs a 'scenario' object"
                 " (Scenario.to_dict form)"
             )
+        engine = payload.get("engine", "event")
+        if engine != "event":
+            raise SessionError(
+                f"unsupported engine {engine!r}; sessions run 'event'"
+            )
         session = registry.create_from_scenario(
             scenario,
-            engine=payload.get("engine", "event"),
             record_events=bool(payload.get("record_events", True)),
             session_id=payload.get("session_id"),
             seed=int(payload.get("seed", 0)),

@@ -87,7 +87,6 @@ class SessionRegistry:
         self,
         sites: FleetSite | Sequence[FleetSite],
         *,
-        engine: str = "event",
         record_events: bool = True,
         session_id: str | None = None,
         seed: int = 0,
@@ -97,7 +96,6 @@ class SessionRegistry:
         try:
             session = SimSession(
                 sites,
-                engine=engine,
                 record_events=record_events,
                 session_id=session_id,
                 seed=seed,
@@ -111,7 +109,6 @@ class SessionRegistry:
         self,
         scenario: Scenario | dict,
         *,
-        engine: str = "event",
         record_events: bool = True,
         session_id: str | None = None,
         seed: int = 0,
@@ -130,7 +127,6 @@ class SessionRegistry:
             )
         return self.create(
             fleet_sites_for_scenario(scenario),
-            engine=engine,
             record_events=record_events,
             session_id=session_id,
             seed=seed,

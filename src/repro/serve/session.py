@@ -4,23 +4,24 @@ A :class:`SimSession` is the engine underneath the ``repro.serve``
 digital-twin API: one or many sites prepared through
 :meth:`~repro.cluster.Datacenter.prepare_run` and advanced *in bounded
 segments* instead of one shot — ``advance(n_steps)`` moves every site's
-event engine forward by a wall of grid steps, ``status()`` projects the
-partially-filled columns, and ``checkpoint()`` / :meth:`SimSession.
-restore` / ``fork()`` serialize the whole mid-flight state (engine
-cursors, VM object graph, supply-dispatcher lanes, partially-filled
+event engine (its :class:`~repro.cluster.kernel.StepKernel`) forward by
+a wall of grid steps, ``status()`` projects the partially-filled
+columns, and ``checkpoint()`` / :meth:`SimSession.restore` / ``fork()``
+serialize the whole mid-flight state (kernel cursors and SoA cluster
+state, supply-dispatcher lanes, partially-filled
 :class:`~repro.cluster.StepColumns`, the injection RNG) so an
 interrupted run resumes golden-identical to an uninterrupted one.
 
 Why segmenting preserves bit-identity:
 
-* **Open loop.**  The bounded loop replays the event engine's exact
-  wake discovery (arrivals, finish heap, expiry heap, budget-crossing
-  scans) with windows clamped at the segment boundary.  Every live
-  event inside the segment is processed before the boundary, so heap
-  entries at or below it are provably stale; crossing scans depend only
-  on state that cannot change across a skipped window, so a scan split
-  at the boundary finds the same first hit.  Forward-fills commit the
-  same carried state either way.
+* **Open loop.**  Each segment is one :meth:`~repro.cluster.kernel.
+  StepKernel.advance` call — the same loop ``Datacenter.run`` makes
+  once with ``until = n`` — with windows clamped at the segment
+  boundary.  Every live event inside the segment is processed before
+  the boundary, so heap entries at or below it are provably stale;
+  crossing scans depend only on state that cannot change across a
+  skipped window, so a scan split at the boundary finds the same first
+  hit.  Forward-fills commit the same carried state either way.
 * **Closed loop.**  :meth:`~repro.cluster.Datacenter.
   advance_closed_event` clamps dispatch windows at the boundary and
   re-enters by dispatching the boundary step as a wake — harmless by
@@ -42,7 +43,6 @@ import numpy as np
 
 from .. import obs
 from ..cluster import Datacenter, SimulationResult
-from ..cluster.datacenter import _ClosedEventSite
 from ..errors import SessionError
 from ..sim.fleet import FleetSite
 from ..supply.components import (
@@ -53,8 +53,10 @@ from ..supply.components import (
 
 __all__ = ["SimSession", "SessionError"]
 
-#: Version tag leading every checkpoint blob; bumped on layout changes.
-CHECKPOINT_FORMAT = "repro-session/1"
+#: Version tag leading every checkpoint blob; bumped on layout changes
+#: (``1.1``: sites pickle their step kernel instead of a VM object
+#: graph; ``repro-session/2`` is reserved for a columnar layout).
+CHECKPOINT_FORMAT = "repro-session/1.1"
 
 #: Injection kinds :meth:`SimSession.inject` accepts.
 INJECT_KINDS = ("battery_soc", "grid_budget", "blackout", "spot_price")
@@ -64,24 +66,16 @@ class _SiteEngine:
     """One site's bounded incremental event engine.
 
     Wraps a :class:`Datacenter` plus its prepared
-    :class:`~repro.cluster.EngineState` behind ``advance_to(until)``.
-    Both session engines drive the same wake protocol the batch
-    engines use — the object model through
-    :class:`~repro.cluster.datacenter._ClosedEventSite`, the SoA
-    :class:`~repro.cluster.kernel.StepKernel` natively.
+    :class:`~repro.cluster.EngineState` behind ``advance_to(until)``,
+    driving the site's :class:`~repro.cluster.kernel.StepKernel`
+    through the same loops the batch engines run.
     """
 
-    def __init__(self, name, datacenter, requests, engine):
+    def __init__(self, name, datacenter, requests):
         self.name = name
         self.dc = datacenter
-        self.engine = engine
-        self.state = datacenter.prepare_run(
-            requests, kernel=engine == "soa"
-        )
-        if engine == "soa":
-            self.site = self.state.kernel
-        else:
-            self.site = _ClosedEventSite(datacenter, self.state)
+        self.state = datacenter.prepare_run(requests)
+        self.kernel = self.state.kernel
         #: Next step not yet executed (== every step below is final).
         self.cursor = 0
         self._precomp = (
@@ -90,82 +84,22 @@ class _SiteEngine:
             else None
         )
 
-    # -- cursor plumbing over the two engine backends ------------------
-
-    def _last(self) -> int:
-        if self.engine == "soa":
-            return self.state.kernel.last
-        return self.state.last
-
-    def _set_last(self, step: int) -> None:
-        if self.engine == "soa":
-            self.state.kernel.last = step
-        else:
-            self.state.last = step
-
-    def carried(self) -> tuple[int, int, int]:
-        """(running, allocated, queue length) right now."""
-        return self.site.carried_state()
-
     # -- bounded advance ----------------------------------------------
 
     def advance_to(self, until: int) -> None:
         """Execute steps ``[cursor, until)``; identical to one shot."""
-        until = min(until, self.state.n)
+        state = self.state
+        until = min(until, state.n)
         if until <= self.cursor:
             return
-        if self.state.closed:
-            self.state.processed += self.dc.advance_closed_event(
-                self.site, self.state.cols, self.state.dispatcher,
-                self.cursor, until, self._precomp,
+        if state.closed:
+            state.processed += self.dc.advance_closed_event(
+                self.kernel, state.dispatcher, self.cursor, until,
+                self._precomp,
             )
         else:
-            self._advance_open(until)
+            state.processed += self.kernel.advance(state.budgets, until)
         self.cursor = until
-
-    def _advance_open(self, until: int) -> None:
-        """The open-loop event loop, clamped at ``until``.
-
-        Mirrors :meth:`Datacenter._run_event` /
-        :meth:`StepKernel.run_event` wake for wake; on hitting the
-        boundary the last-processed cursor moves to ``until - 1`` so a
-        later segment resumes with the identical window scan suffix.
-        """
-        state = self.state
-        site = self.site
-        budgets = state.budgets
-        cols = state.cols
-        last = self._last()
-        while True:
-            nxt = site.next_event()
-            window_start = last + 1
-            stop = nxt if nxt < until else until
-            if window_start < stop:
-                running, upper = site.wake_bounds()
-                window = budgets[window_start:stop]
-                wake = window < running if running > 0 else None
-                if upper is not None:
-                    above = window >= upper
-                    wake = above if wake is None else (wake | above)
-                hit_step = None
-                if wake is not None:
-                    hit = int(np.argmax(wake))
-                    if wake[hit]:
-                        hit_step = window_start + hit
-                fill_end = stop if hit_step is None else hit_step
-                if window_start < fill_end:
-                    run_c, alloc_c, qlen = site.carried_state()
-                    cols.running_cores[window_start:fill_end] = run_c
-                    cols.allocated_cores[window_start:fill_end] = alloc_c
-                    cols.queue_length[window_start:fill_end] = qlen
-                if hit_step is not None:
-                    nxt = hit_step
-            if nxt >= until:
-                self._set_last(until - 1)
-                return
-            site.step_wake(nxt, int(budgets[nxt]))
-            state.processed += 1
-            last = nxt
 
     # -- injections ----------------------------------------------------
 
@@ -283,9 +217,6 @@ class SimSession:
         sites: One :class:`~repro.sim.fleet.FleetSite` or a sequence of
             them.  Sites advance in lockstep; shorter grids simply
             finish earlier.
-        engine: ``"event"`` (object model, default) or ``"soa"`` (the
-            columnar step kernel).  Either is golden-identical to every
-            batch engine.
         record_events: Keep per-VM event logs (default on — sessions
             are interactive, the audit trail is the point).
         session_id: Label used in audit entries and ``obs`` spans.
@@ -293,11 +224,14 @@ class SimSession:
             targets); its state rides along in checkpoints.
     """
 
+    #: Engine name reported by :meth:`status`: sessions run the event
+    #: engine (the step kernel), golden-identical to every batch engine.
+    engine = "event"
+
     def __init__(
         self,
         sites: FleetSite | Sequence[FleetSite],
         *,
-        engine: str = "event",
         record_events: bool = True,
         session_id: str = "session",
         seed: int = 0,
@@ -307,16 +241,10 @@ class SimSession:
         sites = list(sites)
         if not sites:
             raise SessionError("a session needs at least one site")
-        if engine not in ("event", "soa"):
-            raise SessionError(
-                f"unknown session engine: {engine!r}"
-                " (expected 'event' or 'soa')"
-            )
         names = [site.name for site in sites]
         if len(set(names)) != len(names):
             raise SessionError(f"duplicate site names: {names}")
         self.session_id = session_id
-        self.engine = engine
         self._sites = []
         for site in sites:
             datacenter = Datacenter(
@@ -327,7 +255,7 @@ class SimSession:
                 record_events=record_events,
             )
             self._sites.append(
-                _SiteEngine(site.name, datacenter, site.requests, engine)
+                _SiteEngine(site.name, datacenter, site.requests)
             )
         self.n = max(se.state.n for se in self._sites)
         self.step = 0
@@ -340,7 +268,7 @@ class SimSession:
         self._audit(
             "create",
             sites=names,
-            engine=engine,
+            engine=self.engine,
             n_steps=self.n,
             seed=seed,
         )
@@ -368,7 +296,7 @@ class SimSession:
         """
         sites = {}
         for se in self._sites:
-            running, allocated, qlen = se.carried()
+            running, allocated, qlen = se.kernel.carried_state()
             cols = se.state.cols
             entry = {
                 "step": se.cursor,
@@ -471,9 +399,7 @@ class SimSession:
             )
         if self._results is None:
             self._results = {
-                se.name: se.dc.finish_run(
-                    se.state, f"session-{self.engine}"
-                )
+                se.name: se.dc.finish_run(se.state, "session")
                 for se in self._sites
             }
         return self._results
@@ -594,9 +520,8 @@ class SimSession:
     def checkpoint(self) -> bytes:
         """Serialize the entire mid-flight session to bytes.
 
-        One pickle of the live object graph — engine states, VM
-        objects (with their aliasing across queue/pool/finish buckets
-        intact), supply-dispatcher lanes, partially-filled columns,
+        One pickle of the live object graph — engine states, step
+        kernels, supply-dispatcher lanes, partially-filled columns,
         event logs, RNG, audit log — behind a versioned envelope.  A
         session restored from the blob (same process or another one)
         continues bit-identically.

@@ -9,8 +9,10 @@ has room it waits in a displaced pool and retries each step.  Stable
 VMs follow that migrate path; degradable VMs pause in place, exactly as
 the paper prescribes.
 
-Like the single-site simulator, the executor has two result-identical
-engines sharing one step implementation: ``engine="dense"`` advances
+Callers reach it through :func:`repro.sim.simulate` with a
+``(problem, placement, actual_traces)`` triple.  The executor has two
+result-identical engines sharing one step implementation over the
+object model: ``engine="dense"`` advances
 every grid step; ``engine="event"`` (the default) wakes only at VM
 arrivals, scheduled completions (min-heap), and *budget-threshold
 crossings* found by the fleet engine's site-major scan
@@ -710,22 +712,3 @@ def _execute_placement_detailed(
         tuple(problem.site_names), columns, homeless_vm_steps,
         supply=evaluations or None,
     )
-
-
-def execute_placement_detailed(*args, **kwargs) -> DetailedResult:
-    """Deprecated alias — route through :func:`repro.sim.simulate`.
-
-    ``simulate(problem, placement, actual_traces, ...)`` dispatches by
-    input shape to the same engine; this name survives as a shim for
-    existing callers and will eventually be removed.
-    """
-    import warnings
-
-    warnings.warn(
-        "execute_placement_detailed() is deprecated; call"
-        " repro.sim.simulate(problem, placement, actual_traces, ...)"
-        " instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _execute_placement_detailed(*args, **kwargs)

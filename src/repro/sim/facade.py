@@ -1,11 +1,12 @@
 """One front door for every simulation engine: :func:`simulate`.
 
-The repo grew three ways to run the same physics — single-site
+The repo runs the same physics three ways — single-site
 :meth:`~repro.cluster.Datacenter.run`, the columnar cross-site
-:class:`~repro.sim.fleet.FleetEngine`, and the placement-replay
-``execute_placement_detailed`` — each with its own calling convention.
-:func:`simulate` routes by the shape of its first argument(s) so
-callers say *what* to simulate and the facade picks the engine:
+:class:`~repro.sim.fleet.FleetEngine`, and the multi-site placement
+replay of :mod:`repro.sim.detailed` — each with its own calling
+convention.  :func:`simulate` routes by the shape of its first
+argument(s) so callers say *what* to simulate and the facade picks the
+engine:
 
 =============================================  =========================
 Input shape                                    Engine
@@ -18,7 +19,9 @@ Input shape                                    Engine
 
 All routes produce the engines' existing result types unchanged (the
 golden equivalence guarantees are between engines, not calling
-conventions), so migrating a call site is a pure rename.
+conventions).  Single sites and fleets run on the structure-of-arrays
+step kernel (``engine="event"``); ``engine="dense"`` selects the
+object-model reference oracle where a route has one.
 """
 
 from __future__ import annotations
@@ -51,9 +54,8 @@ def simulate(
             :class:`~repro.sched.Placement` and the actual traces as
             the second and third arguments).
         engine: Engine variant where the route supports one
-            (``"event"`` / ``"dense"`` / ``"soa"`` for datacenters;
-            ``"event"`` / ``"dense"`` for placement replay; fleet runs
-            are inherently columnar and ignore it).
+            (``"event"`` / ``"dense"`` for datacenters and placement
+            replay; fleet runs are inherently columnar and ignore it).
         record_events: Keep per-VM event logs on fleet runs (single
             datacenters record events per their own construction flag).
         **kwargs: Route-specific options passed through (for placement

@@ -23,7 +23,8 @@ one program**:
   :class:`~repro.cluster.kernel.StepKernel` — VM and server state as
   parallel arrays indexed by integers, not object graphs — so a wake
   costs flat array reads instead of attribute chases.  The kernels are
-  golden-pinned bit-identical to the object model.
+  the single-site event engine too, golden-pinned bit-identical to the
+  object model's dense oracle.
 
 * **Shared wake heap keyed ``(step, site)``.**  Each site keeps at most
   one live entry: the earliest of its next arrival, VM finish, queue
@@ -54,12 +55,13 @@ one program**:
   step kernel.  Groups below ``closed_batch_min_sites`` — where S
   scalar span kernels beat one array program — and stacks with exotic
   component types run the per-site skip-ahead closed-loop event engine
+  (:meth:`~repro.cluster.datacenter.Datacenter.advance_closed_event`)
   instead, inside the same fleet run.
 
-The per-site engines share every line of phase logic with the fleet
+The per-site engine shares every line of phase logic with the fleet
 path (the same kernels, the same dispatch arithmetic), and the golden
 tests pin fleet output bit-identical (records and summaries) to N
-independent ``Datacenter.run`` calls.
+independent ``Datacenter.run`` calls, event and dense alike.
 
 By default fleet sites skip the per-VM event log
 (``record_events=False``): at 500 sites × 1 year the audit trail is
@@ -243,7 +245,7 @@ class FleetEngine:
         runs = [
             _SiteRun(
                 i, site, dc,
-                dc.prepare_run(site.requests, cols_by_site[i], kernel=True),
+                dc.prepare_run(site.requests, cols_by_site[i]),
             )
             for i, (site, dc) in enumerate(zip(self.sites, datacenters))
         ]
@@ -276,11 +278,11 @@ class FleetEngine:
                 else:
                     solo = batchable + solo
                 for run in solo:
-                    run.state.processed = run.datacenter._run_closed_event(
-                        run.state.n,
-                        run.state.kernel,
-                        run.state.cols,
-                        run.state.dispatcher,
+                    run.state.processed = (
+                        run.datacenter.advance_closed_event(
+                            run.state.kernel, run.state.dispatcher,
+                            0, run.state.n,
+                        )
                     )
             # Open-loop sites share one columnar program per grid
             # length (budget rows must be the same width to stack).

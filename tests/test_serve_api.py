@@ -195,11 +195,18 @@ class TestEndpoints:
         assert client.post("/sessions/restore", data=b"junk").status == 400
 
     def test_engine_soa_session(self, client):
-        status = create_session(client, engine="soa")
-        sid = status["session_id"]
-        done = client.post(f"/sessions/{sid}/tick?n=100000").json()
-        assert done["done"]
-        assert client.get(f"/sessions/{sid}/results").status == 200
+        # "soa" was folded into the event engine: sessions accept an
+        # absent or "event" engine field and refuse anything else.
+        body = {"scenario": tiny_scenario().to_dict(), "engine": "soa"}
+        response = client.post("/sessions", json=body)
+        assert response.status == 400
+        assert "'event'" in response.json()["error"]
+        assert client.get("/healthz").json()["sessions"] == 0
+        # Status and listing keep reporting the engine name.
+        status = create_session(client)
+        assert status["engine"] == "event"
+        listed = client.get("/sessions").json()["sessions"]
+        assert [entry["engine"] for entry in listed] == ["event"]
 
 
 class TestConcurrentSessions:
@@ -212,10 +219,9 @@ class TestConcurrentSessions:
         ]
         ids = []
         for i, scenario in enumerate(scenarios):
-            status = create_session(
-                client, scenario=scenario,
-                engine="event" if i % 2 == 0 else "soa",
-            )
+            # Alternate the explicit engine field with its default.
+            payload = {"engine": "event"} if i % 2 == 0 else {}
+            status = create_session(client, scenario=scenario, **payload)
             ids.append(status["session_id"])
         assert len(set(ids)) == 8
         assert client.get("/healthz").json()["sessions"] == 8

@@ -33,17 +33,18 @@ from repro.supply.components import BatteryDispatch, PricedGridPower
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def session_run(site, engine, chunk):
-    session = SimSession(site, engine=engine)
+def session_run(site, chunk):
+    session = SimSession(site)
     while not session.done:
         session.advance(chunk)
     return session.results()[site.name]
 
 
 class TestSegmentedAdvance:
-    """advance(n) in any segmentation == one uninterrupted run."""
+    """advance(n) in any segmentation == one uninterrupted run, on the
+    event engine and on the dense oracle alike."""
 
-    @pytest.mark.parametrize("engine", ["event", "soa"])
+    @pytest.mark.parametrize("engine", ["event", "dense"])
     @pytest.mark.parametrize(
         "mode,stack",
         [
@@ -61,7 +62,7 @@ class TestSegmentedAdvance:
         site = make_site(3, 1500, 400, supply=supply, supply_mode=mode)
         want = reference_run(site, engine=engine)
         for chunk in (1, 137, 5000):
-            got = session_run(site, engine, chunk)
+            got = session_run(site, chunk)
             assert_identical(
                 f"{engine}/{mode}/{stack}/chunk={chunk}",
                 got, want, events=True,
@@ -99,14 +100,14 @@ class TestSegmentedAdvance:
 class TestCheckpointRestore:
     """Serialized mid-flight state resumes bit-identically."""
 
-    @pytest.mark.parametrize("engine", ["event", "soa"])
+    @pytest.mark.parametrize("engine", ["event", "dense"])
     def test_checkpoint_restore_fork_golden(self, engine):
         site = make_site(
             5, 1500, 400, supply=battery_grid_stack(),
             supply_mode="closed",
         )
         want = reference_run(site, engine=engine)
-        session = SimSession(site, engine=engine)
+        session = SimSession(site)
         session.advance(533)
         blob = session.checkpoint()
 
@@ -193,6 +194,14 @@ class TestCheckpointRestore:
             SimSession.restore(pickle.dumps({"format": "other/9"}))
         with pytest.raises(SessionError):
             SimSession.restore(pickle.dumps([1, 2, 3]))
+        # A blob under the previous layout's tag is refused up front,
+        # even when its payload would unpickle.
+        stale = {
+            "format": "repro-session/1",
+            "session": SimSession(make_site(1, 100, 10)),
+        }
+        with pytest.raises(SessionError, match="format"):
+            SimSession.restore(pickle.dumps(stale))
 
 
 class TestMultiSite:
@@ -200,7 +209,7 @@ class TestMultiSite:
 
     def test_mixed_fleet_session_golden(self):
         sites = mixed_fleet()
-        session = SimSession(sites, engine="event")
+        session = SimSession(sites)
         session.advance(800)
         resumed = SimSession.restore(session.checkpoint())
         resumed.run_to_end()
@@ -226,7 +235,7 @@ class TestMultiSite:
             )
             for i in range(8)
         ]
-        session = SimSession(sites, engine="event")
+        session = SimSession(sites)
         session.advance(9000)
         resumed = SimSession.restore(session.checkpoint())
         resumed.advance(11000)
@@ -266,8 +275,9 @@ class TestMultiSite:
             SimSession([site, site])
         with pytest.raises(SessionError):
             SimSession([])
-        with pytest.raises(SessionError):
-            SimSession(site, engine="warp")
+        # One engine: sessions take no engine knob.
+        with pytest.raises(TypeError):
+            SimSession(site, engine="event")
 
 
 class TestInjections:
