@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
-import networkx as nx
-
 from ..errors import ConfigurationError
 from ..traces import PowerTrace
 from ..traces.base import aggregate_traces
@@ -71,6 +69,8 @@ class SiteGraph:
         self.latency_threshold_ms = latency_threshold_ms
         self._latency = latency_matrix_ms(catalog)
         self._index = {name: i for i, name in enumerate(catalog.names)}
+        import networkx as nx
+
         self.graph = nx.Graph()
         self.graph.add_nodes_from(catalog.names)
         names = catalog.names
@@ -120,6 +120,8 @@ class SiteGraph:
             raise ConfigurationError(f"k must be >= 1: {k}")
         if k == 1:
             return [(name,) for name in self.catalog.names]
+        import networkx as nx
+
         cliques: set[tuple[str, ...]] = set()
         for clique in nx.enumerate_all_cliques(self.graph):
             if len(clique) > k:

@@ -47,21 +47,18 @@ with identical solver input.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
-
-try:  # Direct HiGHS bindings: only needed for warm-started re-solves.
-    import highspy
-except ImportError:  # pragma: no cover - environment-dependent
-    highspy = None
 
 from .. import obs
 from ..errors import SolverError
 from .problem import Placement, SchedulingProblem
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -265,6 +262,8 @@ def _assemble(
     step 0 is charged only for the displacement *change* relative to
     the carried-in boundary value.
     """
+    from scipy.sparse import csr_matrix
+
     apps = problem.apps
     sites = problem.sites
     A, S, T = layout.n_apps, layout.n_sites, layout.n_steps
@@ -407,7 +406,7 @@ def _assemble(
         )
     n_rows = r7 + (S if layout.grid else 0)
 
-    matrix = sparse.csr_matrix(
+    matrix = csr_matrix(
         (
             np.concatenate(val_blocks),
             (np.concatenate(row_blocks), np.concatenate(col_blocks)),
@@ -430,6 +429,8 @@ def _assemble_reference(
     Kept as the oracle for the vectorized builder: the golden tests
     assert both produce identical CSR matrices and bounds.
     """
+    from scipy.sparse import csr_matrix
+
     apps = problem.apps
     sites = problem.sites
     n_steps = layout.n_steps
@@ -555,7 +556,7 @@ def _assemble_reference(
             ub.append(float(gp.budget_mwh[site.name]))
             row += 1
 
-    matrix = sparse.csr_matrix(
+    matrix = csr_matrix(
         (vals, (rows, cols)), shape=(row, layout.n_vars)
     )
     return matrix, np.array(lb), np.array(ub)
@@ -688,6 +689,10 @@ class MIPScheduler:
             raise SolverError(
                 f"switch weight must be >= 0: {switch_weight}"
             )
+        # SciPy loads here, in its own span, so a cold process's first
+        # solve does not count the import as assembly or solve time.
+        with obs.span("import", module="scipy.optimize"):
+            importlib.import_module("scipy.optimize")
         if self.decompose is not None:
             from .decompose import solve_decomposed
 
@@ -893,6 +898,8 @@ class MIPScheduler:
                 x, warm_used = seeded
                 status = 0
         if x is None:
+            from scipy.optimize import Bounds, LinearConstraint, milp
+
             result = milp(
                 model.c,
                 constraints=LinearConstraint(
@@ -939,7 +946,9 @@ class MIPScheduler:
         inside the bindings is treated as "fall back", never raised:
         the warm path is an optimization, not a dependency.
         """
-        if highspy is None:
+        try:  # Direct HiGHS bindings: only warm-started solves use them.
+            import highspy
+        except ImportError:  # pragma: no cover - environment-dependent
             return None
         try:
             n_rows, n_cols = matrix.shape

@@ -344,10 +344,13 @@ class SimSession:
         )
 
     def audit_tail(self, last_n: int | None = None) -> list[dict]:
-        """The append-only action log (optionally its last ``last_n``)."""
+        """The append-only action log (optionally its last ``last_n``;
+        a negative ``last_n`` raises :class:`SessionError`)."""
         if last_n is None:
             return list(self.audit)
-        return self.audit[-max(int(last_n), 0):]
+        if int(last_n) < 0:
+            raise SessionError(f"last_n must be >= 0, got {last_n}")
+        return self.audit[max(len(self.audit) - int(last_n), 0):]
 
     def _audit(self, event: str, **fields) -> dict:
         entry = {"seq": len(self.audit), "step": self.step, "event": event}

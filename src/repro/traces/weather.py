@@ -14,14 +14,16 @@ distant ones are nearly independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import ndtr
 
 from ..errors import ConfigurationError
+
+#: Longest path :func:`first_order` runs as a Python loop (see there).
+FIRST_ORDER_LOOP_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -188,11 +190,25 @@ def regime_sequence_from_latent(
     distribution.  Persistence across days comes from blending with the
     previous day's latent before calling this (see
     :func:`correlated_daily_latents`).
+
+    The CDF is ``0.5·erfc(-z/√2)``.  It and :func:`scipy.special.ndtr`
+    both lie within ~1e-15 of the true value, so only quantiles within
+    1e-12 of an edge could pick different regimes; those are recomputed
+    with ``ndtr``, which makes the indices exactly ``ndtr``'s.
     """
     stationary = stationary_distribution(model)
     # Map quantiles to regimes through the stationary CDF.
     edges = np.cumsum(stationary)
-    quantiles = ndtr(np.asarray(latent, dtype=float))
+    z = np.asarray(latent, dtype=float)
+    root2 = math.sqrt(2.0)
+    quantiles = np.array(
+        [0.5 * math.erfc(-v / root2) for v in z.ravel().tolist()]
+    ).reshape(z.shape)
+    near = (np.abs(quantiles[..., None] - edges) < 1e-12).any(-1)
+    if near.any():
+        from scipy.special import ndtr
+
+        quantiles[near] = ndtr(z[near])
     return np.searchsorted(edges, quantiles, side="right").clip(
         0, len(model.regimes) - 1
     )
@@ -272,23 +288,38 @@ def intraday_ar1(
 ) -> np.ndarray:
     """Zero-mean AR(1) fluctuation path with stationary std ``volatility``.
 
-    Evaluated as the linear filter ``y_i = persistence·y_{i-1} + x_i``
-    over ``x = innovation·draws`` in one :func:`scipy.signal.lfilter`
-    call; the filter performs the identical floating-point operations in
-    the identical order, so the output is bit-for-bit equal to the
-    reference loop (:func:`_intraday_ar1_loop`, golden-tested).
+    Evaluated as :func:`first_order` (``y_i = persistence·y_{i-1} +
+    x_i``) over ``x = innovation·draws``; that performs the identical
+    floating-point operations in the identical order, so the output is
+    bit-for-bit equal to the reference loop (:func:`_intraday_ar1_loop`,
+    golden-tested).
     """
     if n_steps <= 0:
         return np.empty(0)
     innovation = volatility * np.sqrt(1.0 - persistence**2)
     draws = rng.standard_normal(n_steps)
-    path, _ = lfilter(
-        [1.0],
-        [1.0, -persistence],
-        innovation * draws,
-        zi=np.array([persistence * initial]),
-    )
-    return path
+    return first_order(innovation * draws, persistence, initial)
+
+
+def first_order(x: np.ndarray, a: float, y0: float) -> np.ndarray:
+    """The recursion ``y_i = a·y_{i-1} + x_i`` from ``y_{-1} = y0``.
+
+    One float64 multiply and add a step, as :func:`scipy.signal.lfilter`
+    does for ``b=[1], a=[1, -a]``, so both give bit-identical output.
+    Up to :data:`FIRST_ORDER_LOOP_MAX` steps run as a plain-float loop,
+    which keeps SciPy (a ~1 s import) out of short runs; longer paths
+    call ``lfilter``, ten times faster a step than the loop.
+    """
+    x = np.asarray(x, dtype=float)
+    if len(x) > FIRST_ORDER_LOOP_MAX:
+        from scipy.signal import lfilter
+
+        return lfilter([1.0], [1.0, -a], x, zi=np.array([a * y0]))[0]
+    a, y, path = float(a), float(y0), []
+    for xi in x.tolist():
+        y = a * y + xi
+        path.append(y)
+    return np.array(path, dtype=float)
 
 
 def _intraday_ar1_loop(

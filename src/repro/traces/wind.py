@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..errors import ConfigurationError, TraceError
 from ..units import TimeGrid
@@ -23,6 +22,7 @@ from .base import PowerTrace
 from .weather import (
     RegimeModel,
     default_wind_regimes,
+    first_order,
     sample_regime_sequence,
 )
 
@@ -121,11 +121,11 @@ def ou_speed_path(
 
     The exact recurrence ``s_i = t_i + (s_{i-1} - t_i)·decay + σ·w_i``
     is the linear filter ``s_i = decay·s_{i-1} + x_i`` with input
-    ``x_i = (1 - decay)·t_i + σ·w_i``, evaluated here in one
-    :func:`scipy.signal.lfilter` call.  RNG draws are consumed in the
-    same order as the reference loop (:func:`_ou_speed_path_loop`), so
-    outputs agree to float round-off (~1e-14 over a year-long path —
-    reassociation only; see the golden tests).
+    ``x_i = (1 - decay)·t_i + σ·w_i``, evaluated here with
+    :func:`~repro.traces.weather.first_order`.  RNG draws are consumed
+    in the same order as the reference loop (:func:`_ou_speed_path_loop`),
+    so outputs agree to float round-off (~1e-14 over a year-long path:
+    the filter form groups the terms differently; see the golden tests).
     """
     targets = np.asarray(targets_ms, dtype=float)
     n = len(targets)
@@ -137,8 +137,7 @@ def ou_speed_path(
     draws = rng.standard_normal(n)
     state = targets[0] + config.speed_volatility_ms * rng.standard_normal()
     x = targets - decay * targets + innovation * draws
-    path, _ = lfilter([1.0], [1.0, -decay], x, zi=np.array([decay * state]))
-    return np.maximum(path, 0.0)
+    return np.maximum(first_order(x, decay, state), 0.0)
 
 
 def _ou_speed_path_loop(

@@ -144,6 +144,27 @@ class TestEndpoints:
         assert bad.status == 400
         assert "earthquake" in bad.json()["error"]
 
+    def test_audit_last_n_bounds(self, client):
+        """``last_n=0`` is an empty tail, not the whole log; a negative
+        ``last_n`` is a 400; a ``last_n`` past the log's length is the
+        whole log."""
+        sid = create_session(client)["session_id"]
+        client.post(f"/sessions/{sid}/tick?n=3")
+        full = client.get(f"/sessions/{sid}/audit").json()["audit"]
+        assert len(full) >= 2
+        empty = client.get(f"/sessions/{sid}/audit?last_n=0")
+        assert empty.status == 200
+        assert empty.json()["audit"] == []
+        one = client.get(f"/sessions/{sid}/audit?last_n=1").json()
+        assert one["audit"] == full[-1:]
+        everything = client.get(
+            f"/sessions/{sid}/audit?last_n={len(full) + 5}"
+        ).json()
+        assert everything["audit"] == full
+        negative = client.get(f"/sessions/{sid}/audit?last_n=-1")
+        assert negative.status == 400
+        assert "last_n" in negative.json()["error"]
+
     def test_checkpoint_restore_fork_roundtrip(self, client):
         sid = create_session(client)["session_id"]
         client.post(f"/sessions/{sid}/tick?n=30")

@@ -21,12 +21,15 @@ from repro.traces import (
     synthesize_wind,
     turbine_power_curve,
 )
+from repro.traces import weather
 from repro.traces.weather import (
+    FIRST_ORDER_LOOP_MAX,
     _intraday_ar1_loop,
     correlated_daily_latents,
     default_solar_regimes,
     default_wind_regimes,
     distance_correlation_matrix,
+    first_order,
     intraday_ar1,
     regime_modulation,
     regime_sequence_from_latent,
@@ -343,7 +346,7 @@ class TestCatalog:
 
 
 class TestVectorizedKernels:
-    """Golden tests: the lfilter/searchsorted kernels against the loop
+    """Golden tests: the first-order/searchsorted kernels against the loop
     references they replaced, on shared seeds."""
 
     def test_ou_matches_loop_reference(self):
@@ -357,10 +360,84 @@ class TestVectorizedKernels:
             b = np.random.default_rng(seed + 100)
             fast = ou_speed_path(targets, 0.25, config, a)
             slow = _ou_speed_path_loop(targets, 0.25, config, b)
-            # lfilter reassociates the recurrence's additions, so the
-            # outputs agree to accumulated rounding, not bit-for-bit.
+            # The filter form precomputes x_i = (1 - decay)·t_i + σ·w_i,
+            # grouping the loop's terms differently, so the outputs
+            # agree to accumulated rounding, not bit-for-bit.
             np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-9)
             assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, FIRST_ORDER_LOOP_MAX - 1, FIRST_ORDER_LOOP_MAX,
+         FIRST_ORDER_LOOP_MAX + 1, 35040],
+    )
+    @pytest.mark.parametrize("y0", [0.0, -0.0, "random"])
+    def test_first_order_loop_bitwise_equals_lfilter(
+        self, n, y0, monkeypatch
+    ):
+        """The plain-float loop performs lfilter's exact operations, on
+        both sides of the length cut (the cut is lifted so lengths past
+        it run the loop too)."""
+        from scipy.signal import lfilter
+
+        rng = np.random.default_rng(n)
+        a = float(rng.uniform(0.0, 1.0))
+        x = rng.standard_normal(n) * 3.0
+        if y0 == "random":
+            y0 = float(rng.standard_normal())
+        want = lfilter([1.0], [1.0, -a], x, zi=np.array([a * y0]))[0]
+        assert np.array_equal(
+            first_order(x, a, y0).view(np.uint64), want.view(np.uint64)
+        )
+        monkeypatch.setattr(weather, "FIRST_ORDER_LOOP_MAX", 10**9)
+        assert np.array_equal(
+            first_order(x, a, y0).view(np.uint64), want.view(np.uint64)
+        )
+
+    def test_guarded_cdf_matches_ndtr(self, monkeypatch):
+        """Regime indices equal ``searchsorted(edges, ndtr(z))`` on
+        random latents and on latents within 4 ulp of every edge's
+        normal quantile, where the ndtr fallback must run."""
+        import scipy.special
+        from scipy.special import ndtr, ndtri
+
+        calls = []
+
+        def counting_ndtr(z):
+            calls.append(len(z))
+            return ndtr(z)
+
+        monkeypatch.setattr(scipy.special, "ndtr", counting_ndtr)
+        for seed, model in enumerate(
+            (default_solar_regimes(), default_wind_regimes())
+        ):
+            edges = np.cumsum(stationary_distribution(model))
+            k = len(model.regimes)
+
+            def reference(z):
+                return np.searchsorted(
+                    edges, ndtr(z), side="right"
+                ).clip(0, k - 1)
+
+            latent = np.random.default_rng(seed).standard_normal(10**6)
+            assert np.array_equal(
+                regime_sequence_from_latent(model, latent),
+                reference(latent),
+            )
+            near = []
+            for edge in edges:
+                centre = float(ndtri(edge))
+                for direction in (np.inf, -np.inf):
+                    z = centre
+                    for _ in range(5):
+                        near.append(z)
+                        z = float(np.nextafter(z, direction))
+            near = np.array(near)
+            calls.clear()
+            assert np.array_equal(
+                regime_sequence_from_latent(model, near), reference(near)
+            )
+            assert calls and calls[0] == len(near)
 
     def test_ou_empty(self):
         config = WindConfig()
