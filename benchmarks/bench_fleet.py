@@ -15,9 +15,8 @@ Two baselines on purpose, reported side by side:
 * ``speedup_vs_looped`` — against per-site *event-driven* runs, the
   strongest baseline: since the single-site event engine runs on the
   same SoA step kernel, this ratio isolates what the fleet's shared
-  site-major matrices, one wake heap, vectorized cross-site budget
-  scans, and batched closed-loop dispatch add on top of it.  Recorded,
-  not gated.
+  site-major matrices, one wake heap, and vectorized cross-site budget
+  scans add on top of it.  Recorded, not gated.
 * ``speedup_vs_dense_looped`` — against per-site *dense* runs that
   walk all 35,040 steps, the reference oracle.  This is the hard CI
   gate (>= 3x).

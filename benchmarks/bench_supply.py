@@ -8,14 +8,14 @@ case must stay free: a year-horizon fleet run with an empty
 no-supply call (plus a small absolute floor so a loaded runner doesn't
 flake on sub-second noise), and must stay result-identical.
 
-The battery closed-loop bench carries a second hard gate: with the
-span-kernel dispatch windows and the SoA step kernel
-(``engine="event"``), a battery-backed closed-loop site-year must stay
-within 4x of the legacy open-loop event run of the same site —
-closed-loop dispatch is stateful at every step, but the per-step cost
-is a handful of float operations in a tight loop, not an object-graph
-walk.  The open-loop evaluation throughput is recorded without a
-gate.
+The battery closed-loop bench carries a second hard gate: on the SoA
+step kernel (``engine="event"``), a battery-backed closed-loop
+site-year must stay within 4x of the legacy open-loop event run of the
+same site.  The closed-loop engine dispatches per step only while the
+battery can move and fills pinned windows vectorized, so some multiple
+is inherent but an order of magnitude would mean the per-step work
+regressed to object-graph walking.  The open-loop evaluation
+throughput is recorded without a gate.
 
 The carbon leg carries the third hard gate: swapping the flat-budget
 ``GridFirmPower`` for its priced twin (constant-price ``always``-policy
@@ -23,6 +23,12 @@ The carbon leg carries the third hard gate: swapping the flat-budget
 contract) must cost at most 10% extra wall clock on a closed-loop
 site-year — the cost/carbon ledger is two multiply-adds per import
 step, not a second dispatch pass.
+
+Both closed-loop gates compare the minima of interleaved trials
+(:func:`_interleaved_min`, ``GATE_TRIALS`` runs a side, the two sides
+alternating which runs first), with no absolute slack: a run takes
+0.02–0.05 s here, so any fixed allowance would dwarf the quantity
+gated.
 
 Every run writes machine-readable ``BENCH_supply.json`` at the repo
 root; CI uploads it as an artifact and fails the bench-smoke job if the
@@ -73,6 +79,35 @@ def _time_once(fn):
     start = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - start
+
+
+#: Interleaved trials a side behind each closed-loop ratio gate.
+GATE_TRIALS = 7
+
+
+def _interleaved_min(fn_a, fn_b, k: int = GATE_TRIALS):
+    """Min-of-``k`` wall clock of two callables, run alternately.
+
+    Trial ``i`` runs ``fn_a`` first when ``i`` is even and ``fn_b``
+    first when it is odd, so load drift hits both sides alike; the
+    minimum is each side's least-disturbed run.  Returns
+    ``(result_a, result_b, stats)`` with the last results and, per
+    side, the min and median seconds.
+    """
+    times: tuple[list[float], list[float]] = ([], [])
+    results: list = [None, None]
+    for i in range(k):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            results[side], seconds = _time_once((fn_a, fn_b)[side])
+            times[side].append(seconds)
+    stats = {
+        "trials": k,
+        "a_min_s": min(times[0]),
+        "a_median_s": float(np.median(times[0])),
+        "b_min_s": min(times[1]),
+        "b_median_s": float(np.median(times[1])),
+    }
+    return results[0], results[1], stats
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -176,13 +211,12 @@ def test_supply_empty_stack_overhead():
 def test_supply_battery_closed_loop_year():
     """One battery-backed site-year, closed loop, both engines.
 
-    The second CI gate: the closed-loop event path (span-kernel
-    dispatch windows over the SoA step kernel) must stay within 4x of
-    the legacy open-loop event run of the same site (+0.5s noise
-    floor).  Dispatch is stateful at every
-    step, so some multiple is inherent; an order of magnitude would
-    mean the per-step work regressed to object-graph walking.  The
-    engines stay result-identical.
+    The second CI gate: the closed-loop event path over the SoA step
+    kernel must stay within 4x of the legacy open-loop event run of
+    the same site, min of interleaved trials against min.  Dispatch is
+    stateful at every step, so some multiple is inherent; an order of
+    magnitude would mean the per-step work regressed to object-graph
+    walking.  The engines stay result-identical.
     """
     grid = grid_days(YEAR_START, 365)
     config = DatacenterConfig()
@@ -191,13 +225,11 @@ def test_supply_battery_closed_loop_year():
         (BatteryDispatch(capacity_mwh=800.0, max_power_mw=200.0),)
     )
 
-    _, legacy_s = _time_once(
-        lambda: Datacenter(config, trace).run(requests, engine="event")
-    )
-    event, event_s = _time_once(
+    _, event, timing = _interleaved_min(
+        lambda: Datacenter(config, trace).run(requests, engine="event"),
         lambda: Datacenter(config, trace, supply=stack).run(
             requests, engine="event"
-        )
+        ),
     )
     dense, dense_s = _time_once(
         lambda: Datacenter(config, trace, supply=stack).run(
@@ -208,11 +240,16 @@ def test_supply_battery_closed_loop_year():
     np.testing.assert_array_equal(
         event.supply.soc_mwh, dense.supply.soc_mwh
     )
+    legacy_s = timing["a_min_s"]
+    event_s = timing["b_min_s"]
     _record(
         "supply_battery_closed_loop_year",
         n_steps=grid.n,
+        trials=timing["trials"],
         legacy_event_s=legacy_s,
+        legacy_event_median_s=timing["a_median_s"],
         closed_event_s=event_s,
+        closed_event_median_s=timing["b_median_s"],
         closed_dense_s=dense_s,
         closed_event_vs_legacy=event_s / legacy_s,
         charge_mwh=event.supply.charge_total_mwh,
@@ -220,7 +257,7 @@ def test_supply_battery_closed_loop_year():
     )
     # Hard gate: a closed-loop battery year on the event path stays
     # within 4x of the legacy open-loop event run.
-    assert event_s <= legacy_s * 4.0 + 0.5
+    assert event_s <= legacy_s * 4.0
 
 
 def test_supply_priced_grid_closed_loop_year():
@@ -231,8 +268,8 @@ def test_supply_priced_grid_closed_loop_year():
     ``GridFirmPower`` (pinned in ``tests/test_supply_pricing.py``), so
     the runs are result-identical and the comparison isolates the
     ledger cost: accumulating cost/carbon alongside the budget draw
-    must stay within 10% of the flat-budget closed-loop year
-    (+0.5s noise floor).
+    must stay within 10% of the flat-budget closed-loop year, min of
+    interleaved trials against min.
     """
     grid = grid_days(YEAR_START, 365)
     config = DatacenterConfig()
@@ -258,10 +295,8 @@ def test_supply_priced_grid_closed_loop_year():
             supply_mode="closed",
         ).run(requests, engine="event")
 
-    flat, flat_s = _time_once(
-        lambda: run(GridFirmPower(budget_mwh=2000.0, max_power_mw=50.0))
-    )
-    priced, priced_s = _time_once(
+    flat, priced, timing = _interleaved_min(
+        lambda: run(GridFirmPower(budget_mwh=2000.0, max_power_mw=50.0)),
         lambda: run(
             PricedGridPower(
                 budget_mwh=2000.0,
@@ -270,8 +305,10 @@ def test_supply_priced_grid_closed_loop_year():
                 carbon_per_mwh=carbon,
                 policy="always",
             )
-        )
+        ),
     )
+    flat_s = timing["a_min_s"]
+    priced_s = timing["b_min_s"]
     assert flat.records == priced.records
     np.testing.assert_array_equal(
         flat.supply.grid_import_mwh, priced.supply.grid_import_mwh
@@ -283,15 +320,18 @@ def test_supply_priced_grid_closed_loop_year():
     _record(
         "supply_priced_grid_closed_loop_year",
         n_steps=grid.n,
+        trials=timing["trials"],
         flat_budget_s=flat_s,
+        flat_budget_median_s=timing["a_median_s"],
         priced_s=priced_s,
+        priced_median_s=timing["b_median_s"],
         priced_vs_flat=priced_s / flat_s,
         grid_import_mwh=imports,
         cost_usd=priced.supply.cost_total_usd,
         carbon_kg=priced.supply.carbon_total_kg,
     )
     # Hard gate: the cost/carbon ledger is within 10% of flat budget.
-    assert priced_s <= flat_s * 1.10 + 0.5
+    assert priced_s <= flat_s * 1.10
 
 
 def test_supply_open_loop_evaluation_year():

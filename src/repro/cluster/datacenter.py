@@ -953,15 +953,16 @@ class Datacenter:
     ) -> tuple[float | None, float | None]:
         """Budget wake thresholds translated to delivered-norm space.
 
-        Returns ``(lo_norm, up_norm)`` for the closed-loop span kernel:
-        a clipped delivered power below ``lo_norm`` means the budget
-        would drop below running cores, one at or above ``up_norm``
-        means it could resume or launch work.  Thresholds are the exact
-        minimal floats (:func:`min_norm_for_budget`), so norm-space
-        crossings equal budget-space crossings bit for bit.  Cached per
-        bound pair — closed-loop windows revisit the same handful of
-        ``(running, threshold)`` pairs all run long, and each miss costs
-        a closed-form inverse plus a few ``nextafter`` probes.
+        Returns ``(lo_norm, up_norm)`` for the closed-loop dispatch
+        span: a clipped delivered power below ``lo_norm`` means the
+        budget would drop below running cores, one at or above
+        ``up_norm`` means it could resume or launch work.  Thresholds
+        are the exact minimal floats (:func:`min_norm_for_budget`), so
+        norm-space crossings equal budget-space crossings bit for bit.
+        Cached per bound pair — closed-loop windows revisit the same
+        handful of ``(running, threshold)`` pairs all run long, and each
+        miss costs a closed-form inverse plus a few ``nextafter``
+        probes.
         """
         key = (lower, upper)
         cached = self._norm_bounds_cache.get(key)
@@ -1054,7 +1055,7 @@ class Datacenter:
             precomp = self.closed_span_precompute(dispatcher)
         base_mw, rt_full, clipped_full, budgets_full = precomp
         capacity = dispatcher.capacity_mw
-        # A span-kernel crossing has already dispatched its step; the
+        # A dispatch-span crossing has already dispatched its step; the
         # delivered value is handed to the wake iteration via
         # ``pending`` instead of dispatching twice.
         pending: float | None = None
@@ -1095,10 +1096,9 @@ class Datacenter:
             if not pinned_surplus and not pinned_deficit:
                 # Live stack: component state moves every step, so the
                 # window cannot be skipped — but it can run as one
-                # scalar span (inlined component arithmetic, telemetry
-                # flushed in bulk) that halts at the first wake-
-                # threshold crossing.  Only crossings execute the step;
-                # every other step is a provable no-op whose columns
+                # dispatch span that halts at the first wake-threshold
+                # crossing.  Only crossings execute the step; every
+                # other step is a provable no-op whose columns
                 # forward-fill below.
                 lo_norm, up_norm = self._norm_bounds(running, upper)
                 deliveries, crossed = dispatcher.advance_span(

@@ -26,8 +26,8 @@ Why segmenting preserves bit-identity:
   advance_closed_event` clamps dispatch windows at the boundary and
   re-enters by dispatching the boundary step as a wake — harmless by
   the engine's core invariant (a wake at a provably no-op step changes
-  nothing) and bit-identical because the scalar dispatch, the span
-  kernel, and the vectorized pinned fill are already pinned equal.
+  nothing) and bit-identical because the per-step dispatch and the
+  vectorized pinned fill are already pinned equal.
 
 Failure/supply injections (:meth:`SimSession.inject`) queue until the
 next ``advance`` and are recorded in the append-only :attr:`audit` log,
@@ -36,6 +36,8 @@ following the RackMind dc-simulator pattern.
 
 from __future__ import annotations
 
+import math
+import numbers
 import pickle
 from typing import Sequence
 
@@ -60,6 +62,22 @@ CHECKPOINT_FORMAT = "repro-session/1.1"
 
 #: Injection kinds :meth:`SimSession.inject` accepts.
 INJECT_KINDS = ("battery_soc", "grid_budget", "blackout", "spot_price")
+
+#: Injection fields that must hold finite real numbers when present.
+INJECT_NUMBERS = (
+    "soc_mwh", "soc_fraction", "remaining_mwh", "delta_mwh",
+    "scale", "delta_per_mwh",
+)
+
+
+def _finite_real(value) -> bool:
+    """True for a finite int/float (``bool`` excluded)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 class _SiteEngine:
@@ -153,10 +171,10 @@ class _SiteEngine:
         """Scale and/or shift spot prices over ``[start, stop)``.
 
         Closed loop only: every :class:`PricedGridPower` component's
-        price series mutates in place, the dispatcher's caches
-        invalidate, and the span precompute rebuilds, so threshold/dvb
-        policies see the shock from the next dispatch on.  Returns
-        priced components touched.
+        price series mutates in place (the dispatcher reads it live)
+        and the span precompute rebuilds, so threshold/dvb policies see
+        the shock from the next dispatch on.  Returns priced components
+        touched.
         """
         state = self.state
         if not state.closed:
@@ -179,7 +197,6 @@ class _SiteEngine:
                 prices[start:stop] += float(delta_per_mwh)
             touched += 1
         if touched:
-            dispatcher.invalidate_base_cache()
             self._precomp = self.dc.closed_span_precompute(dispatcher)
         return touched
 
@@ -187,7 +204,7 @@ class _SiteEngine:
         """Zero the site's power over ``[start, stop)``; returns width.
 
         Closed loop: the trace values themselves go dark (the
-        dispatcher's caches and the session's span precompute are
+        dispatcher reads them live; the session's span precompute is
         rebuilt), so batteries drain into the outage.  Open loop: the
         precomputed delivered/budget series go dark directly.
         """
@@ -198,9 +215,9 @@ class _SiteEngine:
             return 0
         if state.closed:
             self.dc.power_trace.values[start:stop] = 0.0
-            dispatcher = state.dispatcher
-            dispatcher.invalidate_base_cache()
-            self._precomp = self.dc.closed_span_precompute(dispatcher)
+            self._precomp = self.dc.closed_span_precompute(
+                state.dispatcher
+            )
         else:
             state.budgets[start:stop] = 0
             state.cols.norm_power[start:stop] = 0.0
@@ -431,8 +448,10 @@ class SimSession:
           should ride through.
 
         ``site`` targets one site by name; omit it to target all sites
-        (``blackout``: one random site).  Returns the queued audit
-        entry.
+        (``blackout``: one random site).  Numeric fields must be finite
+        real numbers (not booleans) and ``duration_steps`` a positive
+        integer; a malformed action raises :class:`SessionError` and
+        queues nothing.  Returns the queued audit entry.
         """
         if not isinstance(action, dict):
             raise SessionError("injection must be a JSON object")
@@ -460,6 +479,21 @@ class SimSession:
         ):
             raise SessionError(
                 "spot_price needs scale or delta_per_mwh"
+            )
+        for key in INJECT_NUMBERS:
+            if key in action and not _finite_real(action[key]):
+                raise SessionError(
+                    f"{key} must be a finite number, got {action[key]!r}"
+                )
+        duration = action.get("duration_steps")
+        if "duration_steps" in action and (
+            isinstance(duration, bool)
+            or not isinstance(duration, numbers.Integral)
+            or duration <= 0
+        ):
+            raise SessionError(
+                "duration_steps must be a positive integer,"
+                f" got {duration!r}"
             )
         self._pending.append(dict(action))
         if obs.enabled():

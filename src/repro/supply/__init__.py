@@ -9,15 +9,13 @@ budgets through its own path now shares this one:
   evaluation producing :class:`SupplyEvaluation` telemetry.
 - :class:`BatteryDispatch` / :class:`GridFirmPower` /
   :class:`PricedGridPower` — stateful top-ups with SoC / budget /
-  cost-and-carbon dynamics.
-- :class:`BatchedDispatch` — the fleet engine's vectorized closed-loop
-  dispatch: S same-length sites advanced in one array program per
-  step, bit-identical to S scalar dispatchers.
+  cost-and-carbon dynamics.  Their ``step`` methods are the only copy
+  of the dispatch arithmetic: open loop, closed loop, batch runs,
+  fleets and sessions all call them.
 - :class:`SupplySpec` — the serializable, content-hashable form used
   by `experiments.Scenario` and the CLI.
 """
 
-from .batch import BatchedDispatch
 from .components import (
     GRID_POLICIES,
     BatteryDispatch,
@@ -37,7 +35,6 @@ from .stack import (
 )
 
 __all__ = [
-    "BatchedDispatch",
     "BatteryDispatch",
     "BatteryState",
     "DEFAULT_BATTERY_HOURS",

@@ -26,7 +26,6 @@ from repro.experiments import (
     run_scenario,
     run_scenarios,
 )
-from repro.errors import ConfigurationError
 from repro.experiments.cache import load_shared_traces, stage_shared_traces
 from repro.sim import FleetEngine, FleetSite
 from repro.sim.fleet import _NO_LOWER, _NO_UPPER, crossing_scan
@@ -464,13 +463,12 @@ def grid_stack() -> SupplyStack:
 
 
 class TestBatchedClosedFleet:
-    """The lockstep batched closed-loop dispatcher vs per-site engines.
+    """Closed-loop fleets vs independent per-site runs.
 
     Heterogeneous stacks (battery-only, grid-only, battery+grid, and
-    empty/open sites mixed in) across fleet sizes: forcing every
-    closed group through :class:`~repro.supply.batch.BatchedDispatch`
-    (``closed_batch_min_sites=1``) must be bitwise identical to
-    forcing every site through the per-site span-kernel engine.
+    empty/open sites mixed in): every closed-loop fleet site runs the
+    per-site skip-ahead engine, and its results must be bitwise
+    identical to an independent ``Datacenter.run``.
     """
 
     STACKS = (battery_stack, grid_stack, battery_grid_stack, None)
@@ -492,36 +490,18 @@ class TestBatchedClosedFleet:
             )
         return sites
 
-    @pytest.mark.parametrize("n_sites", [1, 8, 64])
-    def test_batched_matches_per_site_bitwise(self, n_sites):
-        n = 1200 if n_sites <= 8 else 500
-        sites = self.heterogeneous_fleet(n_sites, n)
-        batched = FleetEngine(
-            sites, record_events=True, closed_batch_min_sites=1
-        ).run()
-        per_site = FleetEngine(
-            sites, record_events=True, closed_batch_min_sites=10**9
-        ).run()
-        for site in sites:
-            assert_identical(
-                site.name, batched[site.name], per_site[site.name],
-                events=True,
-            )
-
     def test_batched_matches_independent_runs(self):
         sites = self.heterogeneous_fleet(8, 1200)
-        batched = FleetEngine(
-            sites, record_events=True, closed_batch_min_sites=1
-        ).run()
+        fleet = FleetEngine(sites, record_events=True).run()
         for site in sites:
             assert_identical(
-                site.name, batched[site.name], reference_run(site),
+                site.name, fleet[site.name], reference_run(site),
                 events=True,
             )
 
     def test_default_threshold_routes_large_groups(self):
-        # 16 battery sites of one length: the default threshold admits
-        # them to the batched path, and results still match per-site.
+        # 16 battery sites of one length, default settings: a large
+        # same-length closed group still matches independent runs.
         sites = [
             make_site(
                 200 + i, 800, 500,
@@ -530,14 +510,8 @@ class TestBatchedClosedFleet:
             )
             for i in range(16)
         ]
-        batched = FleetEngine(sites).run()
-        per_site = FleetEngine(sites, closed_batch_min_sites=10**9).run()
+        fleet = FleetEngine(sites).run()
         for site in sites:
             assert_identical(
-                site.name, batched[site.name], per_site[site.name]
+                site.name, fleet[site.name], reference_run(site)
             )
-
-    def test_threshold_validation(self):
-        sites = [make_site(1, 100, 10)]
-        with pytest.raises(ConfigurationError):
-            FleetEngine(sites, closed_batch_min_sites=0)

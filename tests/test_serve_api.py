@@ -165,6 +165,41 @@ class TestEndpoints:
         assert negative.status == 400
         assert "last_n" in negative.json()["error"]
 
+    @pytest.mark.parametrize(
+        "action",
+        [
+            {"kind": "battery_soc", "soc_mwh": "abc"},
+            {"kind": "battery_soc", "soc_mwh": float("nan")},
+            {"kind": "battery_soc", "soc_fraction": True},
+            {"kind": "grid_budget", "delta_mwh": float("inf")},
+            {"kind": "grid_budget", "remaining_mwh": None},
+            {"kind": "spot_price", "scale": float("nan")},
+            {"kind": "spot_price", "delta_per_mwh": [1.0]},
+            {"kind": "blackout", "duration_steps": "x"},
+            {"kind": "blackout", "duration_steps": 0},
+            {"kind": "blackout", "duration_steps": 2.5},
+            {"kind": "spot_price", "scale": 2.0, "duration_steps": True},
+        ],
+        ids=[
+            "soc-str", "soc-nan", "fraction-bool", "delta-inf",
+            "remaining-none", "scale-nan", "delta-list", "duration-str",
+            "duration-zero", "duration-float", "duration-bool",
+        ],
+    )
+    def test_inject_rejects_malformed_values(self, client, action):
+        """Bad injection values are a 400 when posted, and nothing is
+        queued: the next tick runs clean instead of failing."""
+        sid = create_session(client)["session_id"]
+        bad = client.post(f"/sessions/{sid}/inject", json=action)
+        assert bad.status == 400, bad.body
+        assert "error" in bad.json()
+        tick = client.post(f"/sessions/{sid}/tick?n=5")
+        assert tick.status == 200, tick.body
+        assert tick.json()["step"] == 5
+        audit = client.get(f"/sessions/{sid}/audit").json()["audit"]
+        events = [entry["event"] for entry in audit]
+        assert "inject" not in events and "apply" not in events
+
     def test_checkpoint_restore_fork_roundtrip(self, client):
         sid = create_session(client)["session_id"]
         client.post(f"/sessions/{sid}/tick?n=30")

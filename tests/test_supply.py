@@ -45,10 +45,12 @@ from repro.supply import (
     NO_SUPPLY,
     BatteryDispatch,
     GridFirmPower,
+    PricedGridPower,
     SupplySpec,
     SupplyStack,
     supply_stack,
 )
+from repro.supply.stack import SupplyEvaluation
 from repro.traces import PowerTrace
 from repro.units import TimeGrid, grid_days
 from repro.workload import (
@@ -690,8 +692,6 @@ class TestStateSnapshots:
         assert clone.remaining_mwh == state.remaining_mwh
 
     def test_evaluation_series_fields_are_the_layout(self):
-        from repro.supply.stack import SupplyEvaluation
-
         assert SupplyEvaluation.SERIES_FIELDS == (
             "delivered",
             "soc_mwh",
@@ -727,26 +727,71 @@ class TestSpanIdleFastPath:
         assert dispatcher.pinned(surplus=True)
         assert dispatcher.battery_soc_mwh() == 5.0
 
-    def test_idle_break_matches_per_step_dispatch(self):
-        values = np.full(600, 0.8)
-        stack = SupplyStack((
+    @staticmethod
+    def idle_inputs():
+        """(label, base values, stack) inputs of the idle-break test.
+
+        The flat-grid input is a pure surplus the battery fills from.
+        The priced inputs — one per purchase policy — open with a
+        deficit the battery and the priced grid cover (the grid
+        exhausts its budget under ``always``), then turn to surplus.
+        """
+        n = 600
+        yield "flat", np.full(n, 0.8), SupplyStack((
             BatteryDispatch(3.0, 10.0, efficiency=0.9),
             GridFirmPower(2.0, max_power_mw=1.0),
         ))
-        span = stack.dispatcher(make_trace(values))
-        scalar = stack.dispatcher(make_trace(values))
-        step = 0
-        while step < 600:
-            deliveries, _ = span.advance_span(step, 600, 0.3, None, None)
-            assert deliveries, "span may not stall"
-            step += len(deliveries)
-            if span.pinned(surplus=True):
-                break
-        for t in range(step):
-            assert scalar.dispatch(t, 0.3) == span.evaluation.delivered[t]
-        assert span.battery_soc_mwh() == scalar.battery_soc_mwh()
+        rng = np.random.default_rng(4)
+        prices = rng.uniform(10.0, 120.0, n)
+        carbons = rng.uniform(100.0, 300.0, n)
+        values = np.where(np.arange(n) < 200, 0.1, 0.8)
+        for policy, extra in (
+            ("always", {}),
+            ("threshold", {"price_threshold": 60.0,
+                           "carbon_threshold": 250.0}),
+            ("dvb", {"price_threshold": 90.0, "dvb_capacity_mwh": 1.5}),
+        ):
+            yield policy, values, SupplyStack((
+                BatteryDispatch(3.0, 10.0, efficiency=0.9),
+                PricedGridPower(
+                    2.0, max_power_mw=1.0, price_per_mwh=prices,
+                    carbon_per_mwh=carbons, policy=policy, **extra,
+                ),
+            ))
+
+    def test_idle_break_matches_per_step_dispatch(self):
+        for label, values, stack in self.idle_inputs():
+            n = len(values)
+            span = stack.dispatcher(make_trace(values))
+            scalar = stack.dispatcher(make_trace(values))
+            step = 0
+            while step < n:
+                deliveries, _ = span.advance_span(
+                    step, n, 0.3, None, None
+                )
+                assert deliveries, f"{label}: span may not stall"
+                step += len(deliveries)
+                if span.pinned(surplus=True):
+                    break
+            assert step < n, f"{label}: the battery never filled"
+            for t in range(step):
+                assert scalar.dispatch(t, 0.3) == (
+                    span.evaluation.delivered[t]
+                ), (label, t)
+            for name in SupplyEvaluation.SERIES_FIELDS:
+                np.testing.assert_array_equal(
+                    getattr(span.evaluation, name)[:step],
+                    getattr(scalar.evaluation, name)[:step],
+                    err_msg=f"{label}: {name}",
+                )
+            for st_span, st_scalar in zip(span.states, scalar.states):
+                assert st_span.to_dict() == st_scalar.to_dict(), label
+            if label != "flat":
+                assert span.evaluation.grid_import_mwh.sum() > 0.0, label
 
     def test_invalidate_base_cache_sees_new_values(self):
+        """In-place trace edits reach the next dispatch: the dispatcher
+        reads generation through a live view and keeps no cache."""
         trace = make_trace(np.full(50, 0.6))
         dispatcher = SupplyStack(
             (GridFirmPower(1000.0),)
@@ -754,8 +799,7 @@ class TestSpanIdleFastPath:
         deliveries, _ = dispatcher.advance_span(0, 10, 0.2, None, None)
         assert deliveries[0] == 0.6  # surplus: grid is a pass-through
         trace.values[:] = 0.0
-        dispatcher.invalidate_base_cache()
         deliveries, _ = dispatcher.advance_span(10, 20, 0.2, None, None)
         # Base went dark: the deficit is now grid-covered demand, not
-        # the stale cached 0.6 pass-through.
+        # a stale 0.6 pass-through.
         assert deliveries[0] == 0.2

@@ -1,4 +1,4 @@
-"""Golden degenerate and batched-equality tests for the priced grid.
+"""Golden degenerate-case tests for the priced grid.
 
 Pins the tentpole contracts of the carbon/price-aware supply layer:
 
@@ -6,11 +6,11 @@ Pins the tentpole contracts of the carbon/price-aware supply layer:
   ``always``-policy :class:`PricedGridPower` is bit-identical to
   :class:`GridFirmPower` — delivered series and simulation columns,
   across both event engines, open and closed loop, per-site and
-  batched fleet — while additionally carrying the cost/carbon ledger
+  fleet — while additionally carrying the cost/carbon ledger
   (total cost == total imports x the constant price).
-- **Scalar == batched**: the ``(S,)``-lane branch-select replay in
-  ``repro.supply.batch`` reproduces scalar ``dispatch()`` bitwise on
-  unlimited-power grids under every purchase policy.
+- **Policies diverge**: the three purchase policies buy different
+  energy, so every policy-parametrized equality exercises a distinct
+  path.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from repro.supply import (
     PricedGridPower,
     SupplyStack,
 )
-from repro.supply.batch import BatchedDispatch
-from repro.supply.stack import SupplyEvaluation
 from repro.traces import PowerTrace
 from repro.units import TimeGrid
 from repro.workload import VMClass, VMRequest, VMType
@@ -247,7 +245,7 @@ class TestFlatBudgetDegenerate:
                 flat[name].supply, priced[name].supply
             )
             assert_cost_ledger(priced[name].supply)
-            # Batched fleet == per-site loop, cost series included.
+            # Fleet == per-site loop, cost series included.
             for series in ENERGY_SERIES + ("cost_usd", "carbon_kg"):
                 np.testing.assert_array_equal(
                     getattr(priced[name].supply, series),
@@ -279,56 +277,7 @@ def priced_component(policy, n, seed, budget=60.0):
 
 
 class TestScalarBatchedProperty:
-    """Satellite: scalar step() == batched lanes, bit for bit."""
-
-    @pytest.mark.parametrize("policy", ["always", "threshold", "dvb"])
-    def test_scalar_matches_batched_bitwise(self, policy):
-        n, n_sites = 160, 5
-        traces = [
-            random_trace(n, seed=10 + i, capacity_mw=50.0 + 10 * i,
-                         name=f"r{i}")
-            for i in range(n_sites)
-        ]
-        stacks = [
-            SupplyStack((
-                BatteryDispatch(30.0, 10.0),
-                priced_component(policy, n, seed=20 + i),
-            ))
-            for i in range(n_sites)
-        ]
-        rng = np.random.default_rng(99)
-        demands = rng.uniform(0.0, 1.2, size=(n, n_sites))
-
-        scalar = [
-            stack.dispatcher(trace)
-            for stack, trace in zip(stacks, traces)
-        ]
-        lanes = [
-            stack.dispatcher(trace)
-            for stack, trace in zip(stacks, traces)
-        ]
-        batched = BatchedDispatch(lanes)
-        for t in range(n):
-            got = batched.step_many(t, demands[t])
-            want = np.array([
-                d.dispatch(t, float(demands[t, i]))
-                for i, d in enumerate(scalar)
-            ])
-            np.testing.assert_array_equal(
-                got, want, err_msg=f"step {t}"
-            )
-        batched.finalize()
-        for d_scalar, d_lane in zip(scalar, lanes):
-            for name in SupplyEvaluation.SERIES_FIELDS:
-                np.testing.assert_array_equal(
-                    getattr(d_scalar.evaluation, name),
-                    getattr(d_lane.evaluation, name),
-                    err_msg=name,
-                )
-            for st_scalar, st_lane in zip(
-                d_scalar.states, d_lane.states
-            ):
-                assert st_scalar.to_dict() == st_lane.to_dict()
+    """The purchase policies are distinct dispatch paths."""
 
     def test_policies_actually_diverge(self):
         """Guard: the three policies buy different energy, so the
