@@ -31,7 +31,12 @@ from repro.experiments import (
 from repro.forecast import NoisyOracleForecaster
 from repro.sched import MIPScheduler, problem_from_forecasts
 from repro.traces import synthesize_solar, synthesize_wind, synthesize_catalog_traces
-from repro.traces.weather import _intraday_ar1_loop, intraday_ar1
+from repro.traces import weather, wind
+from repro.traces.weather import (
+    _intraday_ar1_loop,
+    first_order_lanes,
+    intraday_ar1,
+)
 from repro.traces.wind import WindConfig, _ou_speed_path_loop, ou_speed_path
 from repro.units import grid_days
 from repro.workload import generate_vm_requests, workload_matched_to_power
@@ -78,6 +83,24 @@ def _time_once(fn) -> float:
     return time.perf_counter() - start
 
 
+def _lane_counts(monkeypatch, module, fn) -> dict:
+    """Lanes and re-run lanes of the first-order paths ``fn`` evaluates
+    through ``module.first_order``.  Re-runs are lanes whose warm-up
+    guess missed the exact path, so a rise means the guesses got worse."""
+    counts = {"lanes": 0, "rerun_lanes": 0}
+
+    def counted(x, a, y0):
+        y, lanes, reruns = first_order_lanes(x, a, y0)
+        counts["lanes"] += lanes
+        counts["rerun_lanes"] += reruns
+        return y
+
+    monkeypatch.setattr(module, "first_order", counted)
+    fn()
+    monkeypatch.undo()
+    return counts
+
+
 @pytest.fixture(scope="module", autouse=True)
 def bench_json_writer():
     """Write ``BENCH_perf_kernels.json`` after the module's benches ran."""
@@ -112,7 +135,7 @@ def test_perf_wind_synthesis_year(benchmark):
     _record("wind_synthesis_year", benchmark)
 
 
-def test_perf_ou_kernel_year(benchmark):
+def test_perf_ou_kernel_year(benchmark, monkeypatch):
     """Vectorized OU wind-speed kernel vs. the reference Python loop."""
     config = WindConfig()
     targets = np.full(YEAR_STEPS, config.mean_speed_ms)
@@ -130,15 +153,19 @@ def test_perf_ou_kernel_year(benchmark):
     )
     stats = _stats_dict(benchmark)
     speedup = loop_seconds / stats["mean_s"] if stats.get("mean_s") else None
+    lanes = _lane_counts(
+        monkeypatch, wind,
+        lambda: ou_speed_path(targets, 0.25, config, np.random.default_rng(3)),
+    )
     _record(
         "ou_speed_path_year", benchmark,
-        loop_seconds=loop_seconds, speedup_vs_loop=speedup,
+        loop_seconds=loop_seconds, speedup_vs_loop=speedup, **lanes,
     )
     if speedup is not None:
         assert speedup >= 5.0
 
 
-def test_perf_ar1_kernel_year(benchmark):
+def test_perf_ar1_kernel_year(benchmark, monkeypatch):
     """Vectorized AR(1) weather kernel vs. the reference Python loop."""
     result = benchmark(
         lambda: intraday_ar1(
@@ -153,9 +180,13 @@ def test_perf_ar1_kernel_year(benchmark):
     )
     stats = _stats_dict(benchmark)
     speedup = loop_seconds / stats["mean_s"] if stats.get("mean_s") else None
+    lanes = _lane_counts(
+        monkeypatch, weather,
+        lambda: intraday_ar1(YEAR_STEPS, 0.28, 0.45, np.random.default_rng(4)),
+    )
     _record(
         "intraday_ar1_year", benchmark,
-        loop_seconds=loop_seconds, speedup_vs_loop=speedup,
+        loop_seconds=loop_seconds, speedup_vs_loop=speedup, **lanes,
     )
     if speedup is not None:
         assert speedup >= 5.0

@@ -4,9 +4,11 @@ Not a paper figure — these gate the supply layer's cost on the paths
 every run takes.  The composition point sits inside ``Datacenter.run``
 for all runs, supply-backed or not, so the empty-stack (pass-through)
 case must stay free: a year-horizon fleet run with an empty
-``SupplyStack`` may not regress more than 5% against the legacy
-no-supply call (plus a small absolute floor so a loaded runner doesn't
-flake on sub-second noise), and must stay result-identical.
+``SupplyStack`` may not take more than 1.2x the legacy no-supply call,
+and must stay result-identical.  The 4-site run takes 0.04–0.07 s;
+fifteen repeats of the gate's measurement on a 2-vCPU box gave ratios
+of 0.90–1.07, so 1.2 clears that spread and still catches a stack that
+is no longer passed through (which costs a per-step pass over the year).
 
 The battery closed-loop bench carries a second hard gate: on the SoA
 step kernel (``engine="event"``), a battery-backed closed-loop
@@ -24,10 +26,10 @@ contract) must cost at most 10% extra wall clock on a closed-loop
 site-year — the cost/carbon ledger is two multiply-adds per import
 step, not a second dispatch pass.
 
-Both closed-loop gates compare the minima of interleaved trials
+All three gates compare the minima of interleaved trials
 (:func:`_interleaved_min`, ``GATE_TRIALS`` runs a side, the two sides
 alternating which runs first), with no absolute slack: a run takes
-0.02–0.05 s here, so any fixed allowance would dwarf the quantity
+0.02–0.07 s here, so any fixed allowance would dwarf the quantity
 gated.
 
 Every run writes machine-readable ``BENCH_supply.json`` at the repo
@@ -81,7 +83,7 @@ def _time_once(fn):
     return result, time.perf_counter() - start
 
 
-#: Interleaved trials a side behind each closed-loop ratio gate.
+#: Interleaved trials a side behind each ratio gate.
 GATE_TRIALS = 7
 
 
@@ -177,8 +179,8 @@ def test_supply_empty_stack_overhead():
 
     The CI gate.  An empty stack is a pass-through — ``Datacenter.run``
     must detect it and take the exact legacy precomputed-budget path,
-    so the comparison is plumbing cost only: results identical, wall
-    clock within 5% (+0.5s noise floor).
+    so the comparison is plumbing cost only: results identical, min of
+    interleaved trials within 1.2x of the legacy call's min.
     """
     grid = grid_days(YEAR_START, 365)
     config = DatacenterConfig()
@@ -192,20 +194,26 @@ def test_supply_empty_stack_overhead():
             for trace, requests in sites
         ]
 
-    legacy, legacy_s = _time_once(lambda: run(None))
-    stacked, stacked_s = _time_once(lambda: run(SupplyStack()))
+    legacy, stacked, timing = _interleaved_min(
+        lambda: run(None), lambda: run(SupplyStack())
+    )
     for legacy_result, stacked_result in zip(legacy, stacked):
         assert legacy_result.records == stacked_result.records
         assert stacked_result.supply is None
+    legacy_s = timing["a_min_s"]
+    stacked_s = timing["b_min_s"]
     _record(
         "supply_empty_stack_year_fleet",
         n_steps=grid.n,
         n_sites=len(sites),
+        trials=timing["trials"],
         legacy_s=legacy_s,
+        legacy_median_s=timing["a_median_s"],
         empty_stack_s=stacked_s,
+        empty_stack_median_s=timing["b_median_s"],
         overhead=stacked_s / legacy_s - 1.0,
     )
-    assert stacked_s <= legacy_s * 1.05 + 0.5
+    assert stacked_s <= legacy_s * 1.2
 
 
 def test_supply_battery_closed_loop_year():

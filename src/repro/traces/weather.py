@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-#: Longest path :func:`first_order` runs as a Python loop (see there).
+#: Longest path :func:`first_order` runs as a plain-float loop (see there).
 FIRST_ORDER_LOOP_MAX = 4096
 
 
@@ -304,18 +304,119 @@ def intraday_ar1(
 def first_order(x: np.ndarray, a: float, y0: float) -> np.ndarray:
     """The recursion ``y_i = a·y_{i-1} + x_i`` from ``y_{-1} = y0``.
 
-    One float64 multiply and add a step, as :func:`scipy.signal.lfilter`
-    does for ``b=[1], a=[1, -a]``, so both give bit-identical output.
-    Up to :data:`FIRST_ORDER_LOOP_MAX` steps run as a plain-float loop,
-    which keeps SciPy (a ~1 s import) out of short runs; longer paths
-    call ``lfilter``, ten times faster a step than the loop.
+    Each output is one float64 multiply and one add on the exact
+    previous output, as in a plain-float loop (and in
+    :func:`scipy.signal.lfilter` for ``b=[1], a=[1, -a]`` on finite
+    input), so the result is the loop's bit for bit whatever the data;
+    see :func:`first_order_lanes`.
+    """
+    return first_order_lanes(x, a, y0)[0]
+
+
+def first_order_lanes(
+    x: np.ndarray, a: float, y0: float
+) -> tuple[np.ndarray, int, int]:
+    """:func:`first_order` and its lane counts: ``(y, lanes, reruns)``.
+
+    Paths of up to :data:`FIRST_ORDER_LOOP_MAX` steps run the loop.  A
+    longer path is cut into chunks, one *lane* each, and all lanes
+    advance together, one ``multiply`` and one ``add`` a step.  Lane 0
+    starts from ``y0``.  Lane ``k`` starts a warm-up before its chunk
+    from a guess of the state there: the last ``window`` inputs weighted
+    by powers of ``a`` (``|a|**window < 2**-64``; ``y0`` is the input
+    before the path).  The warm-up shrinks the guess's error by
+    ``|a|**warm <= 2**-10``.  A lane is accepted only if its value at
+    the step before its chunk equals lane ``k-1``'s last value bit for
+    bit (as ``uint64``, so signed zeros and NaN payloads count): from
+    equal state both do the same IEEE operations on the same inputs, so
+    an accepted lane is exact by induction over the lanes.  A rejected
+    lane is re-run with the loop from its exact predecessor, so the data
+    can slow the kernel but never change its output.  The loop also
+    runs the whole path when ``|a| >= 1`` (the recursion never forgets
+    its start) or when the path holds fewer than eight lane spans (the
+    loop is then faster).
     """
     x = np.asarray(x, dtype=float)
-    if len(x) > FIRST_ORDER_LOOP_MAX:
-        from scipy.signal import lfilter
+    a, y0, n = float(a), float(y0), len(x)
+    geometry = _lane_geometry(a)
+    if (
+        n <= FIRST_ORDER_LOOP_MAX
+        or geometry is None
+        or n < 8 * (geometry[0] + geometry[1])
+    ):
+        return _first_order_loop(x, a, y0), 1, 0
+    warm, chunk, window = geometry
+    span = warm + chunk
+    lanes = -(-(n - warm) // chunk)
+    # ``window`` zeros, y0, the path, and zeros to the end of the last lane.
+    padded = np.zeros(window + 1 + (lanes - 1) * chunk + span)
+    padded[window] = y0
+    padded[window + 1 : window + 1 + n] = x
+    strided, item = np.lib.stride_tricks.as_strided, padded.itemsize
+    # lanes_x[j, k] = x_{k·chunk + j}: a row a step, a column a lane.
+    lanes_x = strided(
+        padded[window + 1 :], (span, lanes), (item, chunk * item)
+    ).copy()
+    # Lane k's guess of y_{k·chunk - 1}: the window of inputs ending there.
+    history = strided(
+        padded[chunk + 1 :], (lanes - 1, window), (chunk * item, item)
+    )
+    state = np.empty(lanes)
+    state[0] = y0
+    state[1:] = history @ a ** np.arange(window - 1, -1, -1)
+    # Each step overwrites its row of inputs with the lanes' outputs;
+    # ``a`` as an array and positional ``out`` make the cheapest calls.
+    coefficient, product = np.full(lanes, a), np.empty(lanes)
+    multiply, add = np.multiply, np.add
+    for row in lanes_x:
+        multiply(state, coefficient, product)
+        add(product, row, row)
+        state = row
+    # Lane 0 from its first step, every other lane from its chunk on.
+    y = np.concatenate((lanes_x[:warm, 0], lanes_x[warm:].T.ravel()))[:n]
+    bits = y.view(np.uint64)
+    joins = lanes_x[warm - 1].view(np.uint64)
+    rejected = np.flatnonzero(
+        joins[1:] != bits[warm - 1 + chunk * np.arange(1, lanes)]
+    )
+    # A re-run changes its lane's last value, so the next lane is checked
+    # again; the first lane accepted ends the chain, and the lanes after
+    # it keep the verdicts computed above.
+    reruns = settled = 0
+    for k in (rejected + 1).tolist():
+        if k < settled:
+            continue
+        while k < lanes:
+            start = warm + k * chunk
+            if joins[k] == bits[start - 1]:
+                break
+            y[start : start + chunk] = _first_order_loop(
+                x[start : start + chunk], a, float(y[start - 1])
+            )
+            reruns += 1
+            k += 1
+        settled = k + 1
+    return y, lanes, reruns
 
-        return lfilter([1.0], [1.0, -a], x, zi=np.array([a * y0]))[0]
-    a, y, path = float(a), float(y0), []
+
+def _lane_geometry(a: float) -> tuple[int, int, int] | None:
+    """``(warm, chunk, window)`` steps of :func:`first_order_lanes` for
+    the coefficient ``a``; ``None`` when ``|a| >= 1`` or is NaN.  Chunks
+    of at least 128 steps keep the lane transposes moving runs of 1 KiB."""
+    magnitude = abs(a)
+    if not magnitude < 1.0:
+        return None
+    rate = -math.log(magnitude) if magnitude else math.inf
+    warm = max(8, math.ceil(10 * math.log(2) / rate))
+    window = math.ceil(64 * math.log(2) / rate)
+    while magnitude**window >= 2.0**-64:
+        window += 1
+    return warm, max(2 * warm, 128), window
+
+
+def _first_order_loop(x: np.ndarray, a: float, y: float) -> np.ndarray:
+    """:func:`first_order` as a plain-float loop, one step at a time."""
+    path = []
     for xi in x.tolist():
         y = a * y + xi
         path.append(y)

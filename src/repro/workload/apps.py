@@ -7,13 +7,14 @@ class mix, and duration; the scheduler decides which site(s) host it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import TimeGrid
-from .vmtypes import VMType, default_vm_catalog
+from .vmtypes import VMType, catalog_cdf, default_vm_catalog
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def generate_applications(
         rng = np.random.default_rng(seed)
     catalog = default_vm_catalog()
     types = [t for t, _ in catalog]
-    probabilities = np.array([p for _, p in catalog])
+    size_cdf = catalog_cdf(catalog)
     per_day = grid.steps_per_day()
     arrival_limit = max(1, int(grid.n * arrival_window_fraction))
 
@@ -138,7 +139,7 @@ def generate_applications(
             ),
         )
         vm_count = 1 + rng.geometric(1.0 / mean_vm_count)
-        vm_type = types[rng.choice(len(types), p=probabilities)]
+        vm_type = types[bisect_right(size_cdf, rng.random())]
         applications.append(
             Application(
                 app_id, arrival, duration, int(vm_count), vm_type,

@@ -11,13 +11,14 @@ the paper's "cluster running at 70% utilization" setup by construction.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import TimeGrid
-from .vmtypes import VMClass, VMRequest, VMType, default_vm_catalog
+from .vmtypes import VMClass, VMRequest, VMType, catalog_cdf, default_vm_catalog
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,8 @@ class AzureWorkloadConfig:
             raise ConfigurationError(
                 f"diurnal amplitude must be in [0,1): {self.diurnal_amplitude}"
             )
+        if any(p < 0 for _, p in self.catalog):
+            raise ConfigurationError("catalog probabilities must be >= 0")
         total_p = sum(p for _, p in self.catalog)
         if not np.isclose(total_p, 1.0, atol=1e-9):
             raise ConfigurationError(
@@ -165,7 +168,7 @@ def generate_vm_requests(
     rates = base_rate * modulation
 
     types = [t for t, _ in config.catalog]
-    probabilities = np.array([p for _, p in config.catalog])
+    size_cdf = catalog_cdf(config.catalog)
     # Log-normal with the requested mean: mean = exp(mu + sigma^2/2).
     sigma = config.lifetime_sigma
     mu = np.log(config.mean_lifetime_hours) - sigma**2 / 2.0
@@ -175,7 +178,7 @@ def generate_vm_requests(
 
     def draw_vm(arrival: int, lifetime_steps: int) -> VMRequest:
         nonlocal vm_id
-        vm_type = types[rng.choice(len(types), p=probabilities)]
+        vm_type = types[bisect_right(size_cdf, rng.random())]
         vm_class = (
             VMClass.STABLE
             if rng.random() < config.stable_fraction

@@ -107,6 +107,42 @@ def test_short_commands_stay_off_scipy(tmp_path, command):
     ) == set()
 
 
+#: Synthesizes a year of wind and a year-long AR(1) path, then prints
+#: the loaded module names.
+YEAR_TRACES_PROGRAM = """
+import json, sys
+import numpy as np
+from repro.experiments.defaults import YEAR_START
+from repro.traces import synthesize_wind
+from repro.traces.weather import intraday_ar1
+from repro.units import grid_days
+
+grid = grid_days(YEAR_START, 365)
+assert len(synthesize_wind(grid, seed=1)) == grid.n
+assert len(intraday_ar1(grid.n, 0.28, 0.45, np.random.default_rng(4))) == grid.n
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_year_long_traces_load_no_scipy(tmp_path):
+    """Year-long first-order paths (35,040 steps, past the loop cut)
+    run on NumPy alone."""
+    out = subprocess.run(
+        [sys.executable, "-c", YEAR_TRACES_PROGRAM], env=_env(tmp_path),
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert _loaded(json.loads(out.stdout), "scipy") == set()
+
+
+def test_year_long_synthesize_command_loads_no_scipy(tmp_path):
+    modules = _run_cli(
+        tmp_path, "synthesize", "--sites", "UK-wind", "--days", "365",
+        "--out", str(tmp_path / "traces"),
+    )["modules"]
+    assert _loaded(modules, "scipy") == set()
+    assert (tmp_path / "traces" / "UK-wind.csv").exists()
+
+
 def test_schedule_loads_the_solver_only_in_its_import_span(tmp_path):
     """``schedule`` needs ``scipy.optimize`` but not ``scipy.signal`` or
     networkx, and loads it inside the ``import`` span that

@@ -394,6 +394,113 @@ class TestVectorizedKernels:
             first_order(x, a, y0).view(np.uint64), want.view(np.uint64)
         )
 
+    @staticmethod
+    def _lane_lengths(a):
+        """Lengths around the lane kernel's seams for coefficient ``a``:
+        just past the loop cut, a whole number of chunks and one step
+        either side, a year of 15-minute steps, and 100,000 steps."""
+        geometry = weather._lane_geometry(a)
+        lengths = [FIRST_ORDER_LOOP_MAX + 1, 35040, 100_000]
+        if geometry is not None:
+            warm, chunk, _ = geometry
+            whole = warm + (FIRST_ORDER_LOOP_MAX // chunk + 1) * chunk
+            lengths += [whole - 1, whole, whole + 1]
+        return lengths
+
+    @staticmethod
+    def _loop(x, a, y0, monkeypatch):
+        """``first_order`` with the cut lifted, so it runs the loop."""
+        with monkeypatch.context() as patch:
+            patch.setattr(weather, "FIRST_ORDER_LOOP_MAX", 10**9)
+            return first_order(x, a, y0)
+
+    @pytest.mark.parametrize("a", [0.45, 0.959, 0.9999, 0.0, -0.5])
+    @pytest.mark.parametrize("y0", [0.0, -0.0, "random"])
+    def test_lane_kernel_bitwise_equals_lfilter_and_loop(
+        self, a, y0, monkeypatch
+    ):
+        """Past the cut the lane kernel gives lfilter's and the loop's
+        exact bits, on lengths around its chunk seams.  At ``a = 0.9999``
+        the guess window (``|a|**window < 2**-64``) is longer than every
+        path, and a path holds fewer than eight lane spans, so the loop
+        runs; every other ``a`` runs the lanes."""
+        from scipy.signal import lfilter
+
+        from repro.traces.weather import first_order_lanes
+
+        for n in self._lane_lengths(a):
+            rng = np.random.default_rng(n)
+            x = rng.standard_normal(n) * 3.0 + 1.0
+            start = float(rng.standard_normal()) if y0 == "random" else y0
+            want = lfilter([1.0], [1.0, -a], x, zi=np.array([a * start]))[0]
+            got, lanes, reruns = first_order_lanes(x, a, start)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            loop = self._loop(x, a, start, monkeypatch)
+            assert np.array_equal(got.view(np.uint64), loop.view(np.uint64))
+            warm, chunk, window = weather._lane_geometry(a)
+            if a == 0.9999:
+                assert window > n and lanes == 1 and reruns == 0
+            else:
+                assert lanes == -(-(n - warm) // chunk) > 1
+                assert reruns <= lanes // 10
+
+    @pytest.mark.parametrize("a", [0.45, 0.959, -0.5])
+    def test_lane_kernel_non_finite_inputs(self, a, monkeypatch):
+        """NaN and infinite inputs give the loop's bits, NaN payloads
+        and signs included.  lfilter agrees where the input holds NaN
+        but no infinity: its delay update multiplies each input by the
+        zero-padded numerator (``inf·0`` is NaN), so after an infinite
+        input it yields NaN where the recursion gives an infinity."""
+        from scipy.signal import lfilter
+
+        n = 35040
+        for case in ("nan", "inf", "mixed"):
+            rng = np.random.default_rng(7)
+            x = rng.standard_normal(n)
+            if case == "nan":
+                x[[5000, 20001]] = np.nan
+            elif case == "inf":
+                x[9000] = np.inf
+            else:
+                x[[3000, 12000, 30000]] = [np.inf, -np.inf, np.nan]
+            got = first_order(x, a, 0.5)
+            loop = self._loop(x, a, 0.5, monkeypatch)
+            assert np.array_equal(got.view(np.uint64), loop.view(np.uint64))
+            if case == "nan":
+                want = lfilter([1.0], [1.0, -a], x, zi=np.array([a * 0.5]))[0]
+                assert np.array_equal(
+                    got.view(np.uint64), want.view(np.uint64)
+                )
+
+    def test_lane_kernel_rejected_lanes_stay_exact(self, monkeypatch):
+        """With a one-step warm-up the guesses have not rounded onto
+        the exact path, so most lanes fail the bitwise join and re-run
+        on the loop; the output is still lfilter's, bit for bit."""
+        from scipy.signal import lfilter
+
+        from repro.traces.weather import first_order_lanes
+
+        geometry = weather._lane_geometry
+        monkeypatch.setattr(
+            weather, "_lane_geometry", lambda a: (1, *geometry(a)[1:])
+        )
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(35040)
+        for a in (0.9, 0.959):
+            got, lanes, reruns = first_order_lanes(x, a, -0.25)
+            assert reruns > lanes // 2
+            want = lfilter([1.0], [1.0, -a], x, zi=np.array([a * -0.25]))[0]
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_ar1_year_bit_identical_to_loop(self):
+        """A year-long AR(1) path runs the lane kernel and still equals
+        the per-step reference loop exactly."""
+        a = np.random.default_rng(4)
+        b = np.random.default_rng(4)
+        fast = intraday_ar1(35040, 0.28, 0.45, a, initial=0.1)
+        slow = _intraday_ar1_loop(35040, 0.28, 0.45, b, initial=0.1)
+        assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+
     def test_guarded_cdf_matches_ndtr(self, monkeypatch):
         """Regime indices equal ``searchsorted(edges, ndtr(z))`` on
         random latents and on latents within 4 ulp of every edge's

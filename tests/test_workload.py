@@ -203,3 +203,90 @@ class TestApplications:
     def test_generate_applications_count(self, n):
         grid = grid_days(datetime(2020, 5, 1), 7)
         assert len(generate_applications(grid, n, seed=1)) == n
+
+
+def _choice_reference_requests(grid, config, rng):
+    """``generate_vm_requests`` as it drew each VM's size with
+    ``Generator.choice``, as ``(id, arrival, lifetime, type, class)``."""
+    step_hours = grid.step_hours
+    base_rate = arrival_rate_for_utilization(config, step_hours)
+    rates = base_rate * (1.0 + config.diurnal_amplitude * np.sin(
+        2.0 * np.pi * (grid.hour_of_day() - 9.0) / 24.0
+    ))
+    types = [t for t, _ in config.catalog]
+    probabilities = np.array([p for _, p in config.catalog])
+    sigma = config.lifetime_sigma
+    mu = np.log(config.mean_lifetime_hours) - sigma**2 / 2.0
+    rows = []
+
+    def draw(arrival, lifetime):
+        vm_type = types[rng.choice(len(types), p=probabilities)]
+        stable = rng.random() < config.stable_fraction
+        rows.append((len(rows), arrival, lifetime, vm_type, stable))
+
+    mean_lifetime_steps = config.mean_lifetime_hours / step_hours
+    for _ in range(rng.poisson(base_rate * mean_lifetime_steps)):
+        hours = rng.lognormal(mu + sigma**2, sigma)
+        lifetime = max(1, int(round(hours / step_hours)))
+        draw(0, max(1, int(np.ceil(lifetime * rng.random()))))
+    for step in range(grid.n):
+        for _ in range(rng.poisson(rates[step])):
+            hours = rng.lognormal(mu, sigma)
+            draw(step, max(1, int(round(hours / step_hours))))
+    return sorted(rows, key=lambda row: (row[1], row[0]))
+
+
+class TestSizeDrawMatchesChoice:
+    """VM sizes are drawn by inverting the catalog CDF with ``bisect``;
+    the draws, and the generator's state after them, are ``choice``'s."""
+
+    ODD_CATALOG = (
+        (VMType("S", 1, 2.0), 0.0),
+        (VMType("M", 3, 12.0), 0.45),
+        (VMType("L", 12, 96.0), 0.0),
+        (VMType("XL", 24, 96.0), 0.55),
+    )
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    @pytest.mark.parametrize("catalog", ["default", "odd"])
+    def test_vm_requests(self, week_grid, seed, catalog):
+        overrides = {} if catalog == "default" else {
+            "catalog": self.ODD_CATALOG
+        }
+        config = AzureWorkloadConfig(total_cores=4000, **overrides)
+        rng = np.random.default_rng(seed)
+        requests = generate_vm_requests(week_grid, config, rng=rng)
+        reference = np.random.default_rng(seed)
+        want = _choice_reference_requests(week_grid, config, reference)
+        assert [
+            (r.vm_id, r.arrival_step, r.lifetime_steps, r.vm_type,
+             r.vm_class is VMClass.STABLE)
+            for r in requests
+        ] == want
+        assert len(want) > 100
+        assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_applications(self, week_grid, seed):
+        rng = np.random.default_rng(seed)
+        apps = generate_applications(week_grid, 200, rng=rng)
+        reference = np.random.default_rng(seed)
+        types = [t for t, _ in default_vm_catalog()]
+        probabilities = np.array([p for _, p in default_vm_catalog()])
+        want = []
+        for app_id in range(200):
+            arrival = int(reference.integers(0, int(week_grid.n * 0.5)))
+            reference.exponential(3.0)
+            vm_count = 1 + reference.geometric(1.0 / 24.0)
+            vm_type = types[reference.choice(len(types), p=probabilities)]
+            want.append((app_id, arrival, int(vm_count), vm_type))
+        got = sorted((a.app_id, a.arrival_step, a.vm_count, a.vm_type)
+                     for a in apps)
+        assert got == want
+        assert rng.random() == reference.random()
+
+    def test_negative_probability_rejected(self):
+        bad = ((VMType("B1", 1, 4.0), 1.5), (VMType("B2", 2, 8.0), -0.5))
+        with pytest.raises(ConfigurationError):
+            AzureWorkloadConfig(catalog=bad)
+
